@@ -1,21 +1,15 @@
 //! Kernel perf-trajectory harness: REAL wall-clock event throughput of
-//! the simulation kernel itself, measured against the preserved
-//! pre-rework kernel (`bench::legacy`) on the same host in the same
-//! process. Output is JSON on stdout (committed as
+//! the simulation kernel itself. Output is JSON on stdout (committed as
 //! `results/BENCH_kernel.json`, schema-gated but not byte-diff gated:
 //! timings are host-dependent by design — see PERFORMANCE.md for how to
 //! read the trajectory).
 //!
 //! Sections of the artifact:
-//!   * `workloads` — synthetic kernel stress runs executed on all three
-//!     scheduling stacks: the legacy heap kernel (baseline), and the
-//!     current kernel under its calendar-queue and binary-heap backends.
-//!     `timers` holds a large pending population (the regime where the
-//!     legacy heap's O(log n) sifts over fat boxed nodes hurt most);
-//!     `queueing` is a closed queueing network hammering the resource
-//!     grant/completion path (where the legacy double-Box lived).
-//!   * `headline` — the acceptance number: current-kernel default backend
-//!     vs legacy, both events/sec recorded.
+//!   * `workloads` — synthetic kernel stress runs, one `calendar` row
+//!     each. `drain` times the pop path alone over a bulk-injected trace;
+//!     `timers` holds a large pending population; `queueing` is a closed
+//!     queueing network hammering the resource grant/completion path.
+//!   * `headline` — the drain rate in events/sec.
 //!   * `engine_points` — the same kernel doing real work: a PDW TPC-H Q5
 //!     phase replay on `ClusterExec` and a YCSB workload-A serving run.
 //!     These are the numbers to watch across PRs.
@@ -28,73 +22,20 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use bench::{fanout, legacy, meta};
+use bench::{fanout, meta};
 use cluster::{ClusterExec, Params};
 use docstore::{MongoCluster, Sharding};
 use elephants_core::serving::ServingConfig;
 use pdw::{load_pdw, PdwEngine};
-use simkit::{SchedulerKind, Sim};
+use simkit::{ResourceId, Sim};
 use tpch::{generate, GenConfig};
 use ycsb::driver::{run_workload, RunConfig};
 use ycsb::workload::Workload;
 
-/// World state shared by the synthetic workloads on every kernel.
+/// World state shared by the synthetic workloads.
 struct World {
     fired: u64,
     reschedules_left: u64,
-}
-
-/// A boxed event closure for kernel `K` (both kernels box identically).
-type Ev<K> = Box<dyn FnOnce(&mut K, &mut World)>;
-
-/// The kernel surface the synthetic workloads need. Implemented by the
-/// current simkit kernel and by the preserved legacy baseline, so one
-/// workload definition drives both and the comparison cannot drift.
-trait Kernel: Sized + 'static {
-    type Res: Copy + 'static;
-    fn after_boxed(&mut self, delay: u64, f: Ev<Self>);
-    fn add_server_pool(&mut self, servers: u32) -> Self::Res;
-    fn request(&mut self, r: Self::Res, service: u64, done: Ev<Self>);
-    fn drain(&mut self, w: &mut World) -> u64;
-    fn events_executed(&self) -> u64;
-}
-
-impl Kernel for legacy::Sim<World> {
-    type Res = legacy::ResourceId;
-    fn after_boxed(&mut self, delay: u64, f: Ev<Self>) {
-        self.schedule_in(delay, f);
-    }
-    fn add_server_pool(&mut self, servers: u32) -> Self::Res {
-        self.add_resource(servers)
-    }
-    fn request(&mut self, r: Self::Res, service: u64, done: Ev<Self>) {
-        legacy::Sim::request(self, r, service, done);
-    }
-    fn drain(&mut self, w: &mut World) -> u64 {
-        self.run(w)
-    }
-    fn events_executed(&self) -> u64 {
-        legacy::Sim::events_executed(self)
-    }
-}
-
-impl Kernel for Sim<World> {
-    type Res = simkit::ResourceId;
-    fn after_boxed(&mut self, delay: u64, f: Ev<Self>) {
-        self.schedule_in(delay, f);
-    }
-    fn add_server_pool(&mut self, servers: u32) -> Self::Res {
-        self.add_resource("pool", servers)
-    }
-    fn request(&mut self, r: Self::Res, service: u64, done: Ev<Self>) {
-        Sim::request(self, r, service, done);
-    }
-    fn drain(&mut self, w: &mut World) -> u64 {
-        self.run(w)
-    }
-    fn events_executed(&self) -> u64 {
-        Sim::events_executed(self)
-    }
 }
 
 /// splitmix64 finalizer: deterministic integer mixing in place of an RNG
@@ -112,27 +53,23 @@ fn mix(mut x: u64) -> u64 {
 /// One self-rescheduling timer: fires, then reschedules itself with a new
 /// pseudo-random delay while the shared budget lasts. Keeps the pending
 /// population near-constant until the tail drains.
-fn tick<K: Kernel>(sim: &mut K, id: u64, round: u64) {
+fn tick(sim: &mut Sim<World>, id: u64, round: u64) {
     let delay = mix(id.wrapping_mul(0x0100_0000_01B3).wrapping_add(round)) % 1_000_000 + 1;
-    sim.after_boxed(
-        delay,
-        Box::new(move |s, w| {
-            w.fired += 1;
-            if w.reschedules_left > 0 {
-                w.reschedules_left -= 1;
-                tick(s, id, round + 1);
-            }
-        }),
-    );
+    sim.after(delay, move |s, w| {
+        w.fired += 1;
+        if w.reschedules_left > 0 {
+            w.reschedules_left -= 1;
+            tick(s, id, round + 1);
+        }
+    });
 }
 
 /// Pure dequeue stress: bulk-inject a pre-generated arrival trace of
 /// `total` one-shot events (untimed — trace replay injects up front),
-/// then time draining it. This isolates the scheduler's pop path, the
-/// part the rework replaced: the legacy heap pays an O(log n) sift-down
-/// over 32-byte boxed nodes per event (cold cache lines at this
-/// population), the calendar queue an O(1) short-bucket scan.
-fn run_drain<K: Kernel>(mut sim: K, total: u64) -> (u64, f64) {
+/// then time draining it. This isolates the scheduler's pop path: an
+/// O(1) short-bucket scan per event in the calendar queue.
+fn run_drain(total: u64) -> (u64, f64) {
+    let mut sim: Sim<World> = Sim::new();
     let mut w = World {
         fired: 0,
         reschedules_left: 0,
@@ -141,10 +78,10 @@ fn run_drain<K: Kernel>(mut sim: K, total: u64) -> (u64, f64) {
     let span = total.saturating_mul(500);
     for id in 0..total {
         let at = mix(id) % span + 1;
-        sim.after_boxed(at, Box::new(move |_s, w| w.fired += 1));
+        sim.after(at, |_s, w| w.fired += 1);
     }
     let t0 = Instant::now();
-    sim.drain(&mut w);
+    sim.run(&mut w);
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(w.fired, total, "every injected arrival must fire");
     assert_eq!(sim.events_executed(), total);
@@ -153,7 +90,8 @@ fn run_drain<K: Kernel>(mut sim: K, total: u64) -> (u64, f64) {
 
 /// Timer stress: `pending` concurrent timers, `total` events overall.
 /// Returns (events executed, wall-clock seconds including scheduling).
-fn run_timers<K: Kernel>(mut sim: K, pending: u64, total: u64) -> (u64, f64) {
+fn run_timers(pending: u64, total: u64) -> (u64, f64) {
+    let mut sim: Sim<World> = Sim::new();
     let mut w = World {
         fired: 0,
         reschedules_left: total.saturating_sub(pending),
@@ -162,7 +100,7 @@ fn run_timers<K: Kernel>(mut sim: K, pending: u64, total: u64) -> (u64, f64) {
     for id in 0..pending {
         tick(&mut sim, id, 0);
     }
-    sim.drain(&mut w);
+    sim.run(&mut w);
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(w.fired, total, "timer budget must be fully consumed");
     assert_eq!(sim.events_executed(), total);
@@ -172,30 +110,28 @@ fn run_timers<K: Kernel>(mut sim: K, pending: u64, total: u64) -> (u64, f64) {
 /// One customer hop in the closed queueing network: request a
 /// pseudo-random pool for a pseudo-random service time, and on completion
 /// hop again while the shared budget lasts.
-fn hop<K: Kernel>(sim: &mut K, pools: Rc<Vec<K::Res>>, customer: u64, round: u64) {
+fn hop(sim: &mut Sim<World>, pools: Rc<Vec<ResourceId>>, customer: u64, round: u64) {
     let h = mix(customer
         .wrapping_mul(0x0000_0100_0000_01B3)
         .wrapping_add(round));
     let r = pools[(h as usize) % pools.len()];
     let service = (h >> 32) % 9_900 + 100;
-    sim.request(
-        r,
-        service,
-        Box::new(move |s, w| {
-            w.fired += 1;
-            if w.reschedules_left > 0 {
-                w.reschedules_left -= 1;
-                hop(s, pools, customer, round + 1);
-            }
-        }),
-    );
+    sim.use_resource(r, service, move |s, w| {
+        w.fired += 1;
+        if w.reschedules_left > 0 {
+            w.reschedules_left -= 1;
+            hop(s, pools, customer, round + 1);
+        }
+    });
 }
 
 /// Closed queueing network: `customers` customers cycling over `pools`
 /// 4-server pools until `total` completions have fired. Hammers the
 /// grant/completion path.
-fn run_queueing<K: Kernel>(mut sim: K, customers: u64, pools: usize, total: u64) -> (u64, f64) {
-    let pools: Rc<Vec<K::Res>> = Rc::new((0..pools).map(|_| sim.add_server_pool(4)).collect());
+fn run_queueing(customers: u64, pools: usize, total: u64) -> (u64, f64) {
+    let mut sim: Sim<World> = Sim::new();
+    let pools: Rc<Vec<ResourceId>> =
+        Rc::new((0..pools).map(|_| sim.add_resource("pool", 4)).collect());
     let mut w = World {
         fired: 0,
         reschedules_left: total.saturating_sub(customers),
@@ -204,7 +140,7 @@ fn run_queueing<K: Kernel>(mut sim: K, customers: u64, pools: usize, total: u64)
     for c in 0..customers {
         hop(&mut sim, Rc::clone(&pools), c, 0);
     }
-    sim.drain(&mut w);
+    sim.run(&mut w);
     let secs = t0.elapsed().as_secs_f64();
     assert_eq!(w.fired, total, "queueing budget must be fully consumed");
     (sim.events_executed(), secs)
@@ -276,11 +212,8 @@ fn fanout_section(jobs: usize, pending: u64, total: u64) -> (usize, usize, f64, 
         (0..jobs as u64)
             .map(|seed| {
                 let f: Box<dyn FnOnce() -> (u64, f64) + Send> = Box::new(move || {
-                    run_timers(
-                        Sim::<World>::with_scheduler(SchedulerKind::Calendar),
-                        pending + seed, // vary the replica shape a little
-                        total,
-                    )
+                    // Vary the replica shape a little.
+                    run_timers(pending + seed, total)
                 });
                 f
             })
@@ -302,41 +235,17 @@ fn fanout_section(jobs: usize, pending: u64, total: u64) -> (usize, usize, f64, 
     (jobs, threads, serial_secs, parallel_secs)
 }
 
-struct KernelRow {
-    kernel: &'static str,
-    events: u64,
-    secs: f64,
-}
-
-impl KernelRow {
-    fn events_per_sec(&self) -> f64 {
-        self.events as f64 / self.secs
-    }
-}
-
-fn print_workload(name: &str, note: &str, rows: &[KernelRow], last: bool) {
+fn print_workload(name: &str, note: &str, (events, secs): (u64, f64), last: bool) {
+    let eps = events as f64 / secs;
     println!("    {{");
     println!("      \"name\": \"{name}\",");
     println!("      \"note\": \"{note}\",");
     println!("      \"kernels\": [");
-    for (i, r) in rows.iter().enumerate() {
-        let comma = if i + 1 < rows.len() { "," } else { "" };
-        println!(
-            "        {{ \"kernel\": \"{}\", \"events\": {}, \"secs\": {:.4}, \
-             \"events_per_sec\": {:.0} }}{comma}",
-            r.kernel,
-            r.events,
-            r.secs,
-            r.events_per_sec()
-        );
-    }
-    println!("      ],");
-    let legacy_eps = rows[0].events_per_sec();
-    let calendar_eps = rows[1].events_per_sec();
     println!(
-        "      \"speedup_calendar_vs_legacy\": {:.2}",
-        calendar_eps / legacy_eps
+        "        {{ \"kernel\": \"calendar\", \"events\": {events}, \"secs\": {secs:.4}, \
+         \"events_per_sec\": {eps:.0} }}"
     );
+    println!("      ]");
     println!("    }}{}", if last { "" } else { "," });
 }
 
@@ -345,101 +254,25 @@ fn main() {
     let smoke = bench::has_flag(&args, "--smoke");
     let iters = bench::arg_usize(&args, "--iters", if smoke { 1 } else { 3 });
 
-    // Workload dimensions: the timer population is the headline regime
-    // (large pending set → deep heap), sized well past L2 so node
-    // locality matters; totals keep full runs under a minute per kernel.
+    // Workload dimensions: the timer population is sized well past L2 so
+    // bucket locality matters; totals keep full runs under a minute.
     let (t_pending, t_total) = if smoke {
         (2_048, 50_000)
     } else {
         (131_072, 2_000_000)
     };
-    let t_pending = bench::arg_usize(&args, "--pending", t_pending as usize) as u64;
-    let t_total = bench::arg_usize(&args, "--events", t_total as usize) as u64;
     let (q_customers, q_pools, q_total) = if smoke {
         (200, 8, 20_000)
     } else {
         (2_000, 16, 1_000_000)
     };
     let d_total = if smoke { 16_384 } else { 4_000_000 };
-    let d_total = bench::arg_usize(&args, "--drain-events", d_total as usize) as u64;
 
-    let row = |kernel, (events, secs)| KernelRow {
-        kernel,
-        events,
-        secs,
-    };
-    let drain = vec![
-        row(
-            "legacy_heap",
-            best_of(iters, || run_drain(legacy::Sim::new(), d_total)),
-        ),
-        row(
-            "calendar",
-            best_of(iters, || {
-                run_drain(Sim::with_scheduler(SchedulerKind::Calendar), d_total)
-            }),
-        ),
-        row(
-            "heap",
-            best_of(iters, || {
-                run_drain(Sim::with_scheduler(SchedulerKind::Heap), d_total)
-            }),
-        ),
-    ];
-    let timers = vec![
-        row(
-            "legacy_heap",
-            best_of(iters, || run_timers(legacy::Sim::new(), t_pending, t_total)),
-        ),
-        row(
-            "calendar",
-            best_of(iters, || {
-                run_timers(
-                    Sim::with_scheduler(SchedulerKind::Calendar),
-                    t_pending,
-                    t_total,
-                )
-            }),
-        ),
-        row(
-            "heap",
-            best_of(iters, || {
-                run_timers(Sim::with_scheduler(SchedulerKind::Heap), t_pending, t_total)
-            }),
-        ),
-    ];
-    let queueing = vec![
-        row(
-            "legacy_heap",
-            best_of(iters, || {
-                run_queueing(legacy::Sim::new(), q_customers, q_pools, q_total)
-            }),
-        ),
-        row(
-            "calendar",
-            best_of(iters, || {
-                run_queueing(
-                    Sim::with_scheduler(SchedulerKind::Calendar),
-                    q_customers,
-                    q_pools,
-                    q_total,
-                )
-            }),
-        ),
-        row(
-            "heap",
-            best_of(iters, || {
-                run_queueing(
-                    Sim::with_scheduler(SchedulerKind::Heap),
-                    q_customers,
-                    q_pools,
-                    q_total,
-                )
-            }),
-        ),
-    ];
+    let drain = best_of(iters, || run_drain(d_total));
+    let timers = best_of(iters, || run_timers(t_pending, t_total));
+    let queueing = best_of(iters, || run_queueing(q_customers, q_pools, q_total));
 
-    // Engine-grade trajectory points on the default (calendar) backend.
+    // Engine-grade trajectory points.
     let (pdw_events, pdw_secs) = if smoke {
         pdw_q5_point(0.01, 250.0, 1)
     } else {
@@ -468,13 +301,13 @@ fn main() {
         &format!(
             "pre-injected arrival trace, {d_total} events; timed region is the drain loop only"
         ),
-        &drain,
+        drain,
         false,
     );
     print_workload(
         "timers",
         &format!("{t_pending} pending self-rescheduling timers, {t_total} events"),
-        &timers,
+        timers,
         false,
     );
     print_workload(
@@ -482,19 +315,13 @@ fn main() {
         &format!(
             "closed network: {q_customers} customers over {q_pools} 4-server pools, {q_total} completions"
         ),
-        &queueing,
+        queueing,
         true,
     );
     println!("  ],");
-    let baseline_eps = drain[0].events_per_sec();
-    let new_eps = drain[1].events_per_sec();
     println!("  \"headline\": {{");
     println!("    \"workload\": \"drain\",");
-    println!("    \"baseline_kernel\": \"legacy_heap\",");
-    println!("    \"baseline_events_per_sec\": {baseline_eps:.0},");
-    println!("    \"new_kernel\": \"calendar\",");
-    println!("    \"new_events_per_sec\": {new_eps:.0},");
-    println!("    \"speedup\": {:.2}", new_eps / baseline_eps);
+    println!("    \"events_per_sec\": {:.0}", drain.0 as f64 / drain.1);
     println!("  }},");
     println!("  \"engine_points\": [");
     println!(

@@ -79,21 +79,12 @@ fn check_body(root: &Json, out: &mut Vec<String>) {
     };
     match kind {
         "kernel" => {
-            for p in [
-                "headline.baseline_events_per_sec",
-                "headline.new_events_per_sec",
-                "headline.speedup",
-            ] {
-                need_num(root, p, out);
-            }
             need_str(root, "headline.workload", out);
-            need_str(root, "headline.baseline_kernel", out);
-            need_str(root, "headline.new_kernel", out);
+            need_num(root, "headline.events_per_sec", out);
             match need(root, "workloads", out).and_then(|w| w.as_arr()) {
                 Some(ws) if !ws.is_empty() => {
                     for w in ws {
                         need_str(w, "name", out);
-                        need_num(w, "speedup_calendar_vs_legacy", out);
                         match need(w, "kernels", out).and_then(|k| k.as_arr()) {
                             Some(ks) if !ks.is_empty() => {
                                 for k in ks {

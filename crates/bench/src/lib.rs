@@ -4,7 +4,6 @@
 
 pub mod fanout;
 pub mod figures;
-pub mod legacy;
 pub mod meta;
 
 /// Parse `--key value` style args with a default.

@@ -5,8 +5,7 @@
 //! managed by [`Sim`]. The kernel provides:
 //!
 //! * a calendar-queue event scheduler with deterministic FIFO
-//!   tie-breaking, arena-recycled event storage, and a binary-heap
-//!   fallback backend for A/B verification (see [`sched`]),
+//!   tie-breaking and arena-recycled event storage (see [`sched`]),
 //! * k-server FIFO [`resource`]s (disks, NICs, CPU pools, map slots, locks),
 //! * [`latch`]es for barrier-style joins ("when all N tasks finish, ..."),
 //! * online [`stats`] (mean/percentile latencies, resource utilization),
@@ -55,7 +54,6 @@ pub mod trace;
 pub use latch::Latch;
 pub use probe::{Probe, ProbeEvent};
 pub use resource::ResourceId;
-pub use sched::SchedulerKind;
 pub use sim::{Event, ReqTiming, Sim, SimTime, TimedEvent};
 pub use trace::{Contrib, ResKind, Span, Trace, UtilSummary};
 

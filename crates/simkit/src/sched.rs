@@ -1,4 +1,4 @@
-//! Event scheduling backends and the event arena.
+//! The event queue and the event arena.
 //!
 //! The kernel's hot loop is "pop the earliest event, run it, repeat" — at
 //! the 16 TB scale factors and million-user serving scenarios the ROADMAP
@@ -8,92 +8,31 @@
 //! * **Arena (slab) storage.** Every scheduled action lives in a recycled
 //!   slot of a `Arena`: the priority structure itself holds only `Copy`
 //!   `Entry` triples `(at, seq, slot)` — 24 bytes, no destructor — so
-//!   sift/bucket operations are plain memmoves and the slab's free list
+//!   bucket operations are plain memmoves and the slab's free list
 //!   recycles slots instead of round-tripping the allocator per event.
 //!   The slab grows to the peak number of *concurrently pending* events
 //!   and then stays flat (see the arena-recycling property test).
 //!
-//! * **Calendar queue** (`CalendarQueue`, the default backend): a ring
-//!   of time buckets of power-of-two width. Push indexes straight into a
-//!   bucket (O(1)); pop scans the small current bucket for its minimum
-//!   `(at, seq)` key. Events beyond the ring's horizon wait in a spill
-//!   heap and are claimed by the same year check every pop performs, so
-//!   ordering is exact — **bit-identical to the binary heap** — while the
-//!   common case never pays an O(log n) sift over a pointer-fat heap.
-//!   The ring resizes (grow-only, deterministically, from event count and
-//!   span) as the pending population grows.
+//! * **Calendar queue** (`CalendarQueue`): a ring of time buckets of
+//!   power-of-two width. Push indexes straight into a bucket (O(1)); pop
+//!   scans the small current bucket for its minimum `(at, seq)` key.
+//!   Events beyond the ring's horizon wait in a spill heap and are claimed
+//!   by the same year check every pop performs, so ordering is exact while
+//!   the common case never pays an O(log n) sift. The ring resizes
+//!   (deterministically, from event count and measured scan work) as the
+//!   pending population changes.
 //!
-//! * **Binary heap** ([`SchedulerKind::Heap`]): the pre-calendar discipline,
-//!   kept as an always-available A/B oracle. The scheduler-equivalence
-//!   suite runs whole engine workloads under both backends and requires
-//!   identical probe streams; compiling with the `heap-scheduler` feature
-//!   flips the *default* backend for every `Sim::new` in the process.
-//!
-//! Ordering contract (both backends): strictly increasing `(at, seq)` —
-//! earliest time first, FIFO among equal times via the monotone sequence
-//! number. This is the determinism contract every byte-diffed artifact in
-//! `results/` rests on.
+//! Ordering contract: strictly increasing `(at, seq)` — earliest time
+//! first, FIFO among equal times via the monotone sequence number. This is
+//! the determinism contract every byte-diffed artifact in `results/` rests
+//! on. The unit tests check it with a property test that replays generated
+//! push/pop/peek sequences against a sorted `BTreeSet` model.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use crate::resource::ResourceId;
 use crate::sim::{Event, SimTime};
-
-/// Which event-queue discipline a [`Sim`](crate::Sim) uses. Both produce
-/// the exact same event order; they differ only in constant factors.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum SchedulerKind {
-    /// Bucketed calendar queue (the default): O(1) push, small-scan pop.
-    Calendar,
-    /// Binary heap of `(at, seq, slot)` triples: the fallback/oracle.
-    Heap,
-}
-
-/// The compiled-in default backend: [`SchedulerKind::Calendar`], unless the
-/// `heap-scheduler` feature is enabled (A/B verification builds).
-pub fn compiled_default() -> SchedulerKind {
-    if cfg!(feature = "heap-scheduler") {
-        SchedulerKind::Heap
-    } else {
-        SchedulerKind::Calendar
-    }
-}
-
-thread_local! {
-    static THREAD_DEFAULT: std::cell::Cell<Option<SchedulerKind>> =
-        const { std::cell::Cell::new(None) };
-}
-
-/// The backend `Sim::new` uses on this thread: the innermost live
-/// [`SchedulerOverride`], or [`compiled_default`] when none is active.
-pub fn thread_default() -> SchedulerKind {
-    THREAD_DEFAULT
-        .with(|c| c.get())
-        .unwrap_or_else(compiled_default)
-}
-
-/// RAII guard that makes every `Sim::new` on this thread use `kind` until
-/// the guard drops. This is how the scheduler-equivalence tests run whole
-/// engine workloads (which construct their `Sim` internally) under the
-/// heap oracle without threading a parameter through every engine API.
-#[must_use = "the override lasts only while the guard is alive"]
-pub struct SchedulerOverride {
-    prev: Option<SchedulerKind>,
-}
-
-/// Install a thread-local default-scheduler override (see
-/// [`SchedulerOverride`]). Overrides nest; each guard restores what it saw.
-pub fn override_thread_default(kind: SchedulerKind) -> SchedulerOverride {
-    let prev = THREAD_DEFAULT.with(|c| c.replace(Some(kind)));
-    SchedulerOverride { prev }
-}
-
-impl Drop for SchedulerOverride {
-    fn drop(&mut self) {
-        THREAD_DEFAULT.with(|c| c.set(self.prev));
-    }
-}
 
 /// What a scheduled event *does* when it fires. `Call` is a user closure;
 /// `Completion` is a kernel-native resource-service completion, which the
@@ -162,7 +101,7 @@ impl<W> Arena<W> {
 }
 
 /// Queue entry: the full ordering key plus the arena slot. `Copy`, no
-/// destructor — both backends shuffle only these.
+/// destructor — the queue shuffles only these.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) struct Entry {
     pub(crate) at: SimTime,
@@ -174,62 +113,6 @@ impl Entry {
     #[inline]
     fn key(&self) -> (SimTime, u64) {
         (self.at, self.seq)
-    }
-}
-
-/// The pending-event priority structure, behind a runtime-selected backend.
-pub(crate) enum EventQueue {
-    Calendar(CalendarQueue),
-    Heap(BinaryHeap<Reverse<(SimTime, u64, u32)>>),
-}
-
-impl EventQueue {
-    pub(crate) fn new(kind: SchedulerKind) -> Self {
-        match kind {
-            SchedulerKind::Calendar => EventQueue::Calendar(CalendarQueue::new()),
-            SchedulerKind::Heap => EventQueue::Heap(BinaryHeap::new()),
-        }
-    }
-
-    pub(crate) fn kind(&self) -> SchedulerKind {
-        match self {
-            EventQueue::Calendar(_) => SchedulerKind::Calendar,
-            EventQueue::Heap(_) => SchedulerKind::Heap,
-        }
-    }
-
-    #[inline]
-    pub(crate) fn push(&mut self, e: Entry) {
-        match self {
-            EventQueue::Calendar(c) => c.push(e),
-            EventQueue::Heap(h) => h.push(Reverse((e.at, e.seq, e.slot))),
-        }
-    }
-
-    #[inline]
-    pub(crate) fn pop(&mut self) -> Option<Entry> {
-        match self {
-            EventQueue::Calendar(c) => c.pop(),
-            EventQueue::Heap(h) => h
-                .pop()
-                .map(|Reverse((at, seq, slot))| Entry { at, seq, slot }),
-        }
-    }
-
-    /// Earliest pending event time, without disturbing order.
-    #[inline]
-    pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        match self {
-            EventQueue::Calendar(c) => c.peek_time(),
-            EventQueue::Heap(h) => h.peek().map(|Reverse((at, ..))| *at),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            EventQueue::Calendar(c) => c.len(),
-            EventQueue::Heap(h) => h.len(),
-        }
     }
 }
 
@@ -346,6 +229,10 @@ impl CalendarQueue {
         (at >> self.shift) << self.shift
     }
 
+    // `Sim<W>` is generic, so its dispatch loop is compiled in the
+    // caller's crate; `#[inline]` on push/pop/peek_time lets them inline
+    // there instead of costing a cross-crate call per event.
+    #[inline]
     pub(crate) fn push(&mut self, e: Entry) {
         // A staged peek is conceptually "next out"; re-queue it so the new
         // event competes on the ordinary (at, seq) key.
@@ -374,6 +261,7 @@ impl CalendarQueue {
         }
     }
 
+    #[inline]
     pub(crate) fn pop(&mut self) -> Option<Entry> {
         if let Some(s) = self.staged.take() {
             return Some(s);
@@ -381,6 +269,7 @@ impl CalendarQueue {
         self.pop_scan()
     }
 
+    #[inline]
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
         if self.staged.is_none() {
             self.staged = self.pop_scan();
@@ -402,7 +291,11 @@ impl CalendarQueue {
         }
         let mut steps = 0usize;
         loop {
-            let year_end = self.ring_start.saturating_add(self.width());
+            // Inclusive: `ring_start` is width-aligned, so this never
+            // overflows, and an event at `SimTime::MAX` still falls inside
+            // the last year (an exclusive, saturating end would skip it
+            // forever).
+            let year_last = self.ring_start + (self.width() - 1);
             // Best in-year candidate from a scan of the current bucket
             // (buckets are short by construction — the scan IS the width
             // tuning signal)...
@@ -411,8 +304,8 @@ impl CalendarQueue {
             let mut best: Option<(usize, (SimTime, u64))> = None;
             for (i, e) in bucket.iter().enumerate() {
                 let better = match best {
-                    None => e.at < year_end,
-                    Some((_, k)) => e.at < year_end && e.key() < k,
+                    None => e.at <= year_last,
+                    Some((_, k)) => e.at <= year_last && e.key() < k,
                 };
                 if better {
                     best = Some((i, e.key()));
@@ -423,7 +316,7 @@ impl CalendarQueue {
                 .overflow
                 .peek()
                 .map(|Reverse(k)| *k)
-                .filter(|&(at, ..)| at < year_end);
+                .filter(|&(at, ..)| at <= year_last);
             match (best, over) {
                 (Some((_, bk)), Some((at, seq, _))) if (at, seq) < bk => {
                     let Reverse((at, seq, slot)) =
@@ -460,7 +353,7 @@ impl CalendarQueue {
                     }
                     self.advances += 1;
                     self.cur = (self.cur + 1) & self.mask;
-                    self.ring_start = year_end;
+                    self.ring_start = year_last + 1;
                 }
             }
         }
@@ -551,6 +444,8 @@ impl CalendarQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn entry(at: SimTime, seq: u64) -> Entry {
         Entry {
@@ -558,6 +453,336 @@ mod tests {
             seq,
             slot: seq as u32,
         }
+    }
+
+    /// splitmix64 finalizer: deterministic spreading of generated salts.
+    fn mix(mut x: u64) -> u64 {
+        x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^ (x >> 31)
+    }
+
+    /// One step of a generated queue workload. Push times are relative to
+    /// the clock (the last popped time), the way `Sim` schedules them.
+    #[derive(Clone, Copy, Debug)]
+    enum Op {
+        /// `count` events at one instant `delay` ns ahead: same-instant ties.
+        Tie {
+            delay: u64,
+            count: u64,
+        },
+        /// One event `2^exp + jitter` ns ahead (saturating; `exp` 64 is
+        /// `SimTime::MAX`): far-future overflow.
+        Far {
+            exp: u32,
+            jitter: u64,
+        },
+        /// One event `years` ring spans plus `off` ns past the start of
+        /// the queue's current window (never before the clock). Year 0
+        /// lands in the ring, later years alias the same bucket; after a
+        /// peek has moved the window ahead, an earlier push rewinds it
+        /// and leaves these ring events a year or more out.
+        Alias {
+            years: u64,
+            off: u64,
+        },
+        /// `n` events spread over `2^spread` ns: forces the ring to grow.
+        Burst {
+            n: u64,
+            spread: u32,
+            salt: u64,
+        },
+        /// `n` times: pop, then push an event under `2^spread` ns after
+        /// it. Holds the population steady, dense or sparse enough for
+        /// the scan/advance counters to force a recalibration.
+        Hold {
+            n: u64,
+            spread: u32,
+            salt: u64,
+        },
+        /// Peek, then push an event between the clock and the peeked time.
+        PeekThenEarlier {
+            frac: u64,
+        },
+        Peek,
+        Pop,
+    }
+
+    fn op() -> impl Strategy<Value = Op> {
+        prop_oneof![
+            (0u64..64, 1u64..9).prop_map(|(delay, count)| Op::Tie { delay, count }),
+            (18u32..65, 0u64..1_000).prop_map(|(exp, jitter)| Op::Far { exp, jitter }),
+            (0u64..4, any::<u64>()).prop_map(|(years, off)| Op::Alias { years, off }),
+            (1u64..1_500, 0u32..40, any::<u64>()).prop_map(|(n, spread, salt)| Op::Burst {
+                n,
+                spread,
+                salt
+            }),
+            (1u64..6_000, 0u32..24, any::<u64>()).prop_map(|(n, spread, salt)| Op::Hold {
+                n,
+                spread,
+                salt
+            }),
+            any::<u64>().prop_map(|frac| Op::PeekThenEarlier { frac }),
+            Just(Op::Peek),
+            // Pops weighted three to one so queues drain as well as fill.
+            Just(Op::Pop),
+            Just(Op::Pop),
+            Just(Op::Pop),
+        ]
+    }
+
+    /// Which queue regimes a replay reached.
+    #[derive(Default, Debug, PartialEq)]
+    struct Reached {
+        tie: bool,
+        overflow: bool,
+        alias: bool,
+        grow: bool,
+        recalibrate: bool,
+        rewind: bool,
+        earlier_after_peek: bool,
+    }
+
+    /// A `CalendarQueue` driven in lockstep with the sorted reference
+    /// model: every pop and peek must return the model's minimum and
+    /// every `len()` the model's size.
+    struct Oracle {
+        q: CalendarQueue,
+        model: BTreeSet<(SimTime, u64)>,
+        seq: u64,
+        clock: SimTime,
+        reached: Reached,
+    }
+
+    impl Oracle {
+        fn push(&mut self, at: SimTime) -> Result<(), String> {
+            let (nb, shift, start) = (self.q.buckets.len(), self.q.shift, self.q.ring_start);
+            self.q.push(entry(at, self.seq));
+            self.model.insert((at, self.seq));
+            self.seq += 1;
+            self.reached.grow |= self.q.buckets.len() > nb;
+            self.reached.recalibrate |= self.q.buckets.len() == nb && self.q.shift != shift;
+            self.reached.rewind |= self.q.ring_start < start;
+            self.reached.overflow |= !self.q.overflow.is_empty();
+            self.check_len()
+        }
+
+        fn pop(&mut self) -> Result<(), String> {
+            let (nb, shift) = (self.q.buckets.len(), self.q.shift);
+            let got = self.q.pop();
+            let want = self.model.pop_first().map(|(at, seq)| entry(at, seq));
+            if got != want {
+                return Err(format!("pop returned {got:?}, model holds {want:?} next"));
+            }
+            self.reached.recalibrate |= self.q.buckets.len() == nb && self.q.shift != shift;
+            if let Some(e) = got {
+                self.reached.tie |= self.model.first().is_some_and(|&(at, _)| at == e.at);
+                self.clock = e.at;
+            }
+            self.check_len()
+        }
+
+        fn peek(&mut self) -> Result<Option<SimTime>, String> {
+            let got = self.q.peek_time();
+            let want = self.model.first().map(|&(at, _)| at);
+            if got != want {
+                return Err(format!("peek_time returned {got:?}, model min {want:?}"));
+            }
+            self.check_len()?;
+            Ok(got)
+        }
+
+        fn check_len(&self) -> Result<(), String> {
+            if self.q.len() != self.model.len() {
+                return Err(format!(
+                    "len {} but model holds {}",
+                    self.q.len(),
+                    self.model.len()
+                ));
+            }
+            Ok(())
+        }
+
+        fn apply(&mut self, op: Op) -> Result<(), String> {
+            let now = self.clock;
+            match op {
+                Op::Tie { delay, count } => {
+                    for _ in 0..count {
+                        self.push(now.saturating_add(delay))?;
+                    }
+                }
+                Op::Far { exp, jitter } => {
+                    let ahead = 1u64.checked_shl(exp).unwrap_or(SimTime::MAX);
+                    self.push(now.saturating_add(ahead).saturating_add(jitter))?;
+                }
+                Op::Alias { years, off } => {
+                    let span = self.q.span();
+                    let at = self
+                        .q
+                        .ring_start
+                        .saturating_add(years.saturating_mul(span))
+                        .saturating_add(off % span);
+                    self.push(at.max(now))?;
+                }
+                Op::Burst { n, spread, salt } => {
+                    for i in 0..n {
+                        self.push(now.saturating_add(mix(salt ^ i) % (1 << spread)))?;
+                    }
+                }
+                Op::Hold { n, spread, salt } => {
+                    for i in 0..n {
+                        if self.model.is_empty() {
+                            self.push(self.clock)?;
+                        }
+                        self.pop()?;
+                        self.push(self.clock.saturating_add(mix(salt ^ i) % (1 << spread)))?;
+                    }
+                }
+                Op::PeekThenEarlier { frac } => {
+                    if let Some(t) = self.peek()? {
+                        self.reached.earlier_after_peek |= t > now;
+                        // Saturating: `t - now` is `u64::MAX` when the
+                        // clock is 0 and the peeked event is at `SimTime::MAX`.
+                        self.push(now + frac % (t - now).saturating_add(1))?;
+                    }
+                }
+                Op::Peek => {
+                    self.peek()?;
+                }
+                Op::Pop => self.pop()?,
+            }
+            // A ring event a span or more past the window start shares its
+            // bucket with the window's own year.
+            let (start, span) = (self.q.ring_start, self.q.span());
+            self.reached.alias |= self
+                .q
+                .buckets
+                .iter()
+                .flatten()
+                .any(|e| e.at - start >= span);
+            Ok(())
+        }
+    }
+
+    /// Replay `ops`, then drain, checking every step against the model.
+    fn replay(ops: &[Op]) -> Result<Reached, String> {
+        let mut o = Oracle {
+            q: CalendarQueue::new(),
+            model: BTreeSet::new(),
+            seq: 0,
+            clock: 0,
+            reached: Reached::default(),
+        };
+        for (i, &op) in ops.iter().enumerate() {
+            o.apply(op)
+                .map_err(|why| format!("op {i} ({op:?}): {why}"))?;
+        }
+        while !o.model.is_empty() {
+            o.pop().map_err(|why| format!("final drain: {why}"))?;
+        }
+        if o.q.pop().is_some() {
+            return Err("queue outlived its model".into());
+        }
+        Ok(o.reached)
+    }
+
+    proptest! {
+        /// The queue pops in exactly the order of a sorted `(at, seq)`
+        /// set, and its length tracks the set, over generated mixes of
+        /// same-instant ties, far-future overflow, same-bucket aliasing,
+        /// growth bursts, recalibrating holds and earlier-than-peeked
+        /// pushes. `Sim` fires events in pop order, so this is the
+        /// kernel's whole ordering contract.
+        #[test]
+        fn pops_match_a_sorted_reference_model(
+            ops in proptest::collection::vec(op(), 1..40),
+        ) {
+            prop_assert_eq!(replay(&ops).map(|_| ()), Ok(()));
+        }
+    }
+
+    #[test]
+    fn events_at_the_end_of_time_pop() {
+        // Once the window reaches the last year of `SimTime`, an event at
+        // `SimTime::MAX` must still count as in-year.
+        let end = Op::Far { exp: 64, jitter: 0 };
+        replay(&[
+            end,
+            Op::Peek,
+            end,
+            Op::Pop,
+            end,
+            Op::Tie { delay: 0, count: 2 },
+        ])
+        .expect("queue agrees with the model");
+    }
+
+    #[test]
+    fn earlier_push_under_an_event_at_the_end_of_time() {
+        // The widest peek-then-earlier gap: clock 0, peeked event at
+        // `SimTime::MAX`.
+        let end = Op::Far { exp: 64, jitter: 0 };
+        for frac in [0, 1, u64::MAX - 1, u64::MAX] {
+            replay(&[end, Op::PeekThenEarlier { frac }]).expect("queue agrees with the model");
+        }
+    }
+
+    #[test]
+    fn op_vocabulary_reaches_every_regime() {
+        // Peek a far event so the window jumps ahead, fill that window,
+        // then push before the peeked event so the window rewinds under
+        // it. Then burst into one bucket and hold it dense until the scan
+        // counter recalibrates, and grow past the initial ring.
+        let ops = [
+            Op::Far { exp: 30, jitter: 0 },
+            Op::Peek,
+            Op::Alias {
+                years: 0,
+                off: 3 << 20,
+            },
+            Op::PeekThenEarlier { frac: 12_345 },
+            Op::Pop,
+            Op::Tie { delay: 5, count: 4 },
+            Op::Burst {
+                n: 400,
+                spread: 10,
+                salt: 1,
+            },
+            Op::Hold {
+                n: 5_000,
+                spread: 10,
+                salt: 2,
+            },
+            Op::Burst {
+                n: 1_200,
+                spread: 30,
+                salt: 3,
+            },
+            Op::Alias { years: 2, off: 77 },
+            Op::Hold {
+                n: 2_000,
+                spread: 20,
+                salt: 4,
+            },
+            Op::Far { exp: 64, jitter: 0 },
+        ];
+        let reached = replay(&ops).expect("queue agrees with the model");
+        assert_eq!(
+            reached,
+            Reached {
+                tie: true,
+                overflow: true,
+                alias: true,
+                grow: true,
+                recalibrate: true,
+                rewind: true,
+                earlier_after_peek: true,
+            }
+        );
     }
 
     /// Oracle check: any push sequence drains in exact (at, seq) order.

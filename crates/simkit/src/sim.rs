@@ -1,19 +1,18 @@
 //! The event loop: virtual clock, calendar-queue event scheduling, arena
 //! event storage, batched resource grant/re-dispatch.
 //!
-//! See [`crate::sched`] for the queue backends and the arena; this module
+//! See [`crate::sched`] for the calendar queue and the arena; this module
 //! owns the clock, the dispatch loop, and the resource grant path. The
-//! observable contract is frozen: event order is strictly `(at, seq)` and
-//! the probe stream is byte-identical across scheduler backends — the
-//! scheduler-equivalence suite (`tests/scheduler_equivalence.rs`) runs
-//! whole engine workloads under both to prove it.
+//! observable contract is frozen: events fire strictly in `(at, seq)`
+//! order, exactly the queue's pop order, which the queue's sorted-model
+//! property test pins down.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use crate::probe::{Probe, ProbeEvent};
 use crate::resource::{Done, ResourceId, ResourceState};
-use crate::sched::{Action, Arena, Entry, EventQueue, SchedulerKind};
+use crate::sched::{Action, Arena, CalendarQueue, Entry};
 use crate::trace::ResKind;
 
 /// Virtual time in nanoseconds since simulation start.
@@ -60,9 +59,8 @@ impl ReqTiming {
 /// Resources live inside the simulator so that event handlers (which hold
 /// `&mut Sim<W>`) can request service without interior mutability.
 ///
-/// Pending events are stored in a recycling arena; the priority structure
-/// (calendar queue by default, binary heap as the A/B fallback — see
-/// [`SchedulerKind`]) orders lightweight `(at, seq, slot)` triples.
+/// Pending events are stored in a recycling arena; a calendar queue (see
+/// [`crate::sched`]) orders lightweight `(at, seq, slot)` triples.
 /// Resource-service completions are kernel-native events: a request costs
 /// one allocation (the caller's `done` closure), not two, and a completion
 /// re-dispatches every startable queued request in one frame instead of
@@ -71,7 +69,7 @@ pub struct Sim<W> {
     now: SimTime,
     seq: u64,
     arena: Arena<W>,
-    queue: EventQueue,
+    queue: CalendarQueue,
     resources: Vec<ResourceState<W>>,
     executed: u64,
     /// Optional passive observer (see [`crate::probe`]). `None` (the
@@ -97,22 +95,13 @@ impl<W: 'static> Default for Sim<W> {
 }
 
 impl<W: 'static> Sim<W> {
-    /// A simulator on the thread-default scheduler backend: the calendar
-    /// queue, unless a [`crate::sched::override_thread_default`] guard or
-    /// the `heap-scheduler` feature says otherwise.
+    /// An empty simulator at time zero.
     pub fn new() -> Self {
-        Self::with_scheduler(crate::sched::thread_default())
-    }
-
-    /// A simulator on an explicitly chosen scheduler backend. Both
-    /// backends produce bit-identical event order; this exists for A/B
-    /// verification and benchmarking.
-    pub fn with_scheduler(kind: SchedulerKind) -> Self {
         Sim {
             now: 0,
             seq: 0,
             arena: Arena::new(),
-            queue: EventQueue::new(kind),
+            queue: CalendarQueue::new(),
             resources: Vec::new(),
             executed: 0,
             probe: None,
@@ -120,11 +109,6 @@ impl<W: 'static> Sim<W> {
             probe_ctx: None,
             next_span: 0,
         }
-    }
-
-    /// Which scheduler backend this simulator runs on.
-    pub fn scheduler_kind(&self) -> SchedulerKind {
-        self.queue.kind()
     }
 
     /// Attach (or detach, with `None`) a passive [`Probe`]. Resources that
@@ -746,32 +730,6 @@ mod tests {
         sim.run(&mut w);
         assert_eq!(*order.borrow(), vec!["long", "short"]);
         assert_eq!(sim.now(), secs(6.0));
-    }
-
-    #[test]
-    fn backends_replay_identical_logs() {
-        // The same workload on both backends, including resource traffic
-        // and same-instant ties, must produce the same log.
-        let run = |kind: SchedulerKind| {
-            let mut sim: Sim<World> = Sim::with_scheduler(kind);
-            assert_eq!(sim.scheduler_kind(), kind);
-            let mut w = World::default();
-            let disk = sim.add_resource("disk", 1);
-            let cpu = sim.add_resource("cpu", 2);
-            for i in 0..20u64 {
-                sim.after(secs(0.1) * i, move |s, w| {
-                    w.log.push((s.now(), "tick"));
-                    let svc = MICRO_MIX[i as usize % MICRO_MIX.len()];
-                    s.use_resource(if i % 3 == 0 { disk } else { cpu }, svc, |s, w| {
-                        w.log.push((s.now(), "done"));
-                    });
-                });
-            }
-            sim.run(&mut w);
-            (w.log, sim.events_executed())
-        };
-        const MICRO_MIX: [SimTime; 4] = [1_000, 250_000, 70_000_000, 2_000_000_000];
-        assert_eq!(run(SchedulerKind::Calendar), run(SchedulerKind::Heap));
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Property-based tests of the DES kernel: causal ordering, FIFO resource
-//! algebra, and latch counting.
+//! algebra, latch counting, and seeded replay of a mixed workload.
 
 use proptest::prelude::*;
+use simkit::probe::{Probe, ProbeEvent};
 use simkit::{Latch, Sim, SimTime};
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -136,22 +137,16 @@ proptest! {
 
     /// Slot recycling never confuses identities: interleaved schedule /
     /// fire traffic (a sliding window of pending events) delivers every
-    /// payload exactly once, in time order, on both scheduler backends.
+    /// payload exactly once, in time order.
     #[test]
     fn recycled_slots_deliver_every_payload_once(
         delays in proptest::collection::vec(1u64..500, 1..120),
-        backend_sel in 0u64..2,
     ) {
-        let kind = if backend_sel == 1 {
-            simkit::SchedulerKind::Heap
-        } else {
-            simkit::SchedulerKind::Calendar
-        };
-        let mut sim: S = Sim::with_scheduler(kind);
+        let mut sim: S = Sim::new();
         let seen: Rc<RefCell<Vec<usize>>> = Rc::default();
         // Chain: event i schedules event i+1 (slot of i is recycled for
-        // i+1 on the default backend), with a decoy event in between so
-        // the freelist is exercised out of order.
+        // i+1), with a decoy event in between so the freelist is
+        // exercised out of order.
         fn chain(sim: &mut S, delays: Rc<Vec<u64>>, i: usize, seen: Rc<RefCell<Vec<usize>>>) {
             let Some(&d) = delays.get(i) else { return };
             sim.after(d, {
@@ -203,5 +198,106 @@ proptest! {
         for fixed in [0.5, 0.95, 0.99] {
             prop_assert_eq!(merged.quantile(fixed), concat.quantile(fixed));
         }
+    }
+}
+
+/// splitmix64 finalizer — deterministic pseudo-random integers.
+fn mix(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// Probe that renders every event to a line; streams compare with `==`.
+#[derive(Default)]
+struct RecordingProbe(Vec<String>);
+
+impl Probe for RecordingProbe {
+    fn on_event(&mut self, ev: &ProbeEvent<'_>) {
+        self.0.push(format!("{ev:?}"));
+    }
+}
+
+/// Number of one-shot timers [`run_mixed`] schedules; their log ids are
+/// `0..ONE_SHOTS`.
+const ONE_SHOTS: u64 = 500;
+
+/// Delay of one-shot timer `i` under `seed`: 64 distinct instants for 500
+/// timers, so same-instant FIFO ties are dense.
+fn one_shot_delay(seed: u64, i: u64) -> SimTime {
+    mix(seed ^ i) % 64
+}
+
+/// A mixed workload driven by `seed`: clustered one-shot timers,
+/// self-rescheduling timers, and two FIFO resources. Returns the firing
+/// log `(time, id)`, the probe stream, the final clock and the event count.
+fn run_mixed(seed: u64) -> (Vec<(SimTime, u64)>, Vec<String>, SimTime, u64) {
+    let mut sim: Sim<Vec<(SimTime, u64)>> = Sim::new();
+    let probe = Rc::new(RefCell::new(RecordingProbe::default()));
+    sim.set_probe(Some(probe.clone()));
+    let mut w: Vec<(SimTime, u64)> = Vec::new();
+
+    for i in 0..ONE_SHOTS {
+        sim.after(one_shot_delay(seed, i), move |s, w: &mut Vec<_>| {
+            w.push((s.now(), i))
+        });
+    }
+    // Self-rescheduling timers: events scheduled *from* events, far apart.
+    for i in 0..50u64 {
+        fn tick(sim: &mut Sim<Vec<(SimTime, u64)>>, seed: u64, i: u64, left: u32) {
+            let d = mix(seed.wrapping_mul(31).wrapping_add(i)) % 10_000 + 1;
+            sim.after(d, move |s, w: &mut Vec<_>| {
+                w.push((s.now(), 1_000 + i));
+                if left > 0 {
+                    tick(s, seed.wrapping_add(left as u64), i, left - 1);
+                }
+            });
+        }
+        tick(&mut sim, seed, i, 8);
+    }
+    // Two FIFO resources fed with pseudo-random service demands.
+    let disk = sim.add_resource("disk", 2);
+    let cpu = sim.add_resource("cpu", 4);
+    for i in 0..200u64 {
+        let h = mix(seed.rotate_left(17) ^ i);
+        let r = if h.is_multiple_of(2) { disk } else { cpu };
+        let service = (h >> 8) % 5_000 + 1;
+        sim.use_resource(r, service, move |s, w: &mut Vec<_>| {
+            w.push((s.now(), 2_000 + i));
+        });
+    }
+
+    let end = sim.run(&mut w);
+    let lines = std::mem::take(&mut probe.borrow_mut().0);
+    (w, lines, end, sim.events_executed())
+}
+
+/// Same seed, same run; firing times never decrease; and the one-shot
+/// timers, read out of the log, fire in `(delay, i)` order — the sorted
+/// reference for same-instant FIFO ties at the `Sim` level.
+#[test]
+fn mixed_workload_replays_and_fires_ties_fifo() {
+    for seed in [7, 1_234, 0xDEAD_BEEF, u64::MAX / 3] {
+        let run = run_mixed(seed);
+        assert_eq!(run, run_mixed(seed), "seed {seed} did not replay");
+        let (log, ..) = run;
+        assert!(
+            log.windows(2).all(|p| p[0].0 <= p[1].0),
+            "time went backwards (seed {seed})"
+        );
+        let fired: Vec<u64> = log
+            .iter()
+            .filter(|&&(_, id)| id < ONE_SHOTS)
+            .map(|&(_, id)| id)
+            .collect();
+        let mut want: Vec<u64> = (0..ONE_SHOTS).collect();
+        want.sort_by_key(|&i| (one_shot_delay(seed, i), i));
+        assert_eq!(
+            fired, want,
+            "one-shot timers out of (delay, i) order (seed {seed})"
+        );
     }
 }

@@ -31,6 +31,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 echo "== cargo test"
 cargo test -q --workspace
 
+echo "== bench_e2e tests (standalone package, outside the workspace)"
+# bench_e2e builds against the workspace crates by path but is not a
+# member, so the workspace test run above would not notice a change to a
+# public API it uses.
+cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
+
 echo "== observability (trace export + passive-probe artifact diff)"
 # The probe layer must stay passive and deterministic: regenerating the
 # committed profile artifact — with a Chrome trace export riding along —
@@ -92,8 +98,8 @@ diff -u results/ablation_columnar.txt "$obs_tmp/ablation_columnar.txt"
 echo "== kernel bench smoke (runs end-to-end + schema gate over BENCH_*.json)"
 # BENCH_*.json artifacts are host-dependent timings, exempt from the
 # byte-diff gates above; the schema gate keeps them honest instead. The
-# smoke run proves the harness (both kernels, fan-out, engine points)
-# still executes; validate_bench then checks the smoke output AND every
+# smoke run proves the harness (kernel workloads, fan-out, engine
+# points) still executes; validate_bench then checks the smoke output AND every
 # committed trajectory artifact for the machine/config annotations and
 # per-bench fields the docs read.
 cargo run -q --release -p bench --bin bench_kernel -- --smoke > "$obs_tmp/BENCH_kernel_smoke.json"

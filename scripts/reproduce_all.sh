@@ -42,7 +42,7 @@ echo "== bench_scan (REAL wall-clock decode throughput — host-dependent, not d
 cargo run --release -p bench --bin bench_scan > results/BENCH_scan.json
 echo "== bench_simlint (REAL wall-clock lint speed over the workspace — host-dependent, not diff-gated)"
 cargo run --release -p bench --bin bench_simlint > results/BENCH_simlint.json
-echo "== bench_kernel (REAL wall-clock kernel event throughput vs the pre-rework baseline — host-dependent, not diff-gated)"
+echo "== bench_kernel (REAL wall-clock kernel event throughput — host-dependent, not diff-gated)"
 cargo run --release -p bench --bin bench_kernel > results/BENCH_kernel.json
 echo "== bench_obs (REAL wall-clock probe overhead + passivity proof — host-dependent, not diff-gated)"
 cargo run --release -p bench --bin bench_obs > results/BENCH_obs.json
