@@ -12,7 +12,10 @@
 //!   * `headline` — the drain rate in events/sec.
 //!   * `engine_points` — the same kernel doing real work: a PDW TPC-H Q5
 //!     phase replay on `ClusterExec` and a YCSB workload-A serving run.
-//!     These are the numbers to watch across PRs.
+//!     These are the numbers to watch across PRs. Each point also reports
+//!     `scan_per_pop`, the calendar queue's bucket entries scanned per pop
+//!     (`Sim::queue_work`). Unlike the timings it is deterministic, and
+//!     `validate_bench` bounds it on the YCSB point.
 //!   * `fanout` — the parallel sweep runner over per-seed replicas
 //!     (serial vs parallel wall-clock; identical results asserted).
 //!
@@ -27,7 +30,7 @@ use cluster::{ClusterExec, Params};
 use docstore::{MongoCluster, Sharding};
 use elephants_core::serving::ServingConfig;
 use pdw::{load_pdw, PdwEngine};
-use simkit::{ResourceId, Sim};
+use simkit::{QueueWork, ResourceId, Sim};
 use tpch::{generate, GenConfig};
 use ycsb::driver::{run_workload, RunConfig};
 use ycsb::workload::Workload;
@@ -146,23 +149,23 @@ fn run_queueing(customers: u64, pools: usize, total: u64) -> (u64, f64) {
     (sim.events_executed(), secs)
 }
 
-/// Best-of-N wall-clock over a workload closure returning (events, secs).
-fn best_of(iters: usize, f: impl Fn() -> (u64, f64)) -> (u64, f64) {
-    let mut best = f64::INFINITY;
-    let mut events = 0;
-    for _ in 0..iters.max(1) {
-        let (e, s) = f();
-        events = e;
+/// Best-of-N wall-clock over a workload closure returning (result, secs);
+/// the result is deterministic, so any run's will do.
+fn best_of<T>(iters: usize, f: impl Fn() -> (T, f64)) -> (T, f64) {
+    let (mut result, mut best) = f();
+    for _ in 1..iters.max(1) {
+        let (r, s) = f();
+        result = r;
         best = best.min(s);
     }
-    (events, best)
+    (result, best)
 }
 
 /// PDW TPC-H Q5 phase replay: record the resolved plan once, then replay
 /// its phases on a fresh `ClusterExec` per iteration. This is the kernel
 /// doing engine-grade work — phase barriers, per-node disk/CPU/NIC
 /// requests — rather than synthetic ticks.
-fn pdw_q5_point(sf: f64, paper: f64, iters: usize) -> (u64, f64) {
+fn pdw_q5_point(sf: f64, paper: f64, iters: usize) -> ((u64, QueueWork), f64) {
     let cat = generate(&GenConfig::new(sf));
     let params = Params::paper_dss().scaled(paper / sf);
     let (pdwcat, _) = load_pdw(&cat, &params);
@@ -174,14 +177,15 @@ fn pdw_q5_point(sf: f64, paper: f64, iters: usize) -> (u64, f64) {
         for ph in &phases {
             exec.run(ph.clone());
         }
-        (exec.events_executed(), t0.elapsed().as_secs_f64())
+        let secs = t0.elapsed().as_secs_f64();
+        ((exec.events_executed(), exec.queue_work()), secs)
     })
 }
 
 /// YCSB workload-A serving run on a sharded Mongo cluster: the serving
 /// side's open-loop arrival stream is the other engine-grade shape (many
 /// small events, deep timer population).
-fn ycsb_point(measure_secs: f64, iters: usize) -> (u64, f64) {
+fn ycsb_point(measure_secs: f64, iters: usize) -> ((u64, QueueWork), f64) {
     let cfg = ServingConfig::default();
     best_of(iters, || {
         let params = cfg.params();
@@ -199,7 +203,8 @@ fn ycsb_point(measure_secs: f64, iters: usize) -> (u64, f64) {
         };
         let t0 = Instant::now();
         run_workload(&mut sim, m, Workload::A, &rc);
-        (sim.events_executed(), t0.elapsed().as_secs_f64())
+        let secs = t0.elapsed().as_secs_f64();
+        ((sim.events_executed(), sim.queue_work()), secs)
     })
 }
 
@@ -249,6 +254,16 @@ fn print_workload(name: &str, note: &str, (events, secs): (u64, f64), last: bool
     println!("    }}{}", if last { "" } else { "," });
 }
 
+fn print_engine_point(name: &str, ((events, work), secs): ((u64, QueueWork), f64), last: bool) {
+    println!(
+        "    {{ \"name\": \"{name}\", \"events\": {events}, \"secs\": {secs:.4}, \
+         \"events_per_sec\": {:.0}, \"scan_per_pop\": {:.2} }}{}",
+        events as f64 / secs,
+        work.scan_per_pop(),
+        if last { "" } else { "," }
+    );
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let smoke = bench::has_flag(&args, "--smoke");
@@ -273,12 +288,12 @@ fn main() {
     let queueing = best_of(iters, || run_queueing(q_customers, q_pools, q_total));
 
     // Engine-grade trajectory points.
-    let (pdw_events, pdw_secs) = if smoke {
+    let pdw = if smoke {
         pdw_q5_point(0.01, 250.0, 1)
     } else {
         pdw_q5_point(0.02, 1000.0, iters)
     };
-    let (ycsb_events, ycsb_secs) = ycsb_point(if smoke { 2.0 } else { 30.0 }, iters);
+    let ycsb = ycsb_point(if smoke { 2.0 } else { 30.0 }, iters);
 
     let (fo_jobs, fo_threads, fo_serial, fo_parallel) = if smoke {
         fanout_section(4, 1_024, 10_000)
@@ -324,16 +339,8 @@ fn main() {
     println!("    \"events_per_sec\": {:.0}", drain.0 as f64 / drain.1);
     println!("  }},");
     println!("  \"engine_points\": [");
-    println!(
-        "    {{ \"name\": \"pdw_q5_phase_replay\", \"events\": {pdw_events}, \"secs\": {pdw_secs:.4}, \
-         \"events_per_sec\": {:.0} }},",
-        pdw_events as f64 / pdw_secs
-    );
-    println!(
-        "    {{ \"name\": \"ycsb_workload_a\", \"events\": {ycsb_events}, \"secs\": {ycsb_secs:.4}, \
-         \"events_per_sec\": {:.0} }}",
-        ycsb_events as f64 / ycsb_secs
-    );
+    print_engine_point("pdw_q5_phase_replay", pdw, false);
+    print_engine_point("ycsb_workload_a", ycsb, true);
     println!("  ],");
     println!("  \"fanout\": {{");
     println!("    \"jobs\": {fo_jobs},");

@@ -3,13 +3,16 @@
 //! design), so this is the check that keeps them honest instead: every
 //! committed bench artifact must parse, carry the machine/config
 //! annotations that make a timing interpretable later, and have the
-//! per-bench fields the trajectory docs read. Run by `scripts/ci.sh`
-//! after the benches regenerate in smoke mode.
+//! per-bench fields the trajectory docs read. One deterministic work
+//! counter is bounded too: the kernel bench's YCSB point must scan at most
+//! `MAX_SCAN_PER_POP` calendar-queue entries per pop. Run by
+//! `scripts/ci.sh` after the benches regenerate in smoke mode.
 //!
 //! Usage: `validate_bench <file.json>...` — exits non-zero listing every
 //! violation.
 
 use obs::json::{parse, Json};
+use simkit::sched::MAX_SCAN_PER_POP;
 
 /// One failed expectation about one file.
 struct Violation {
@@ -72,6 +75,29 @@ fn check_envelope(root: &Json, out: &mut Vec<String>) {
     }
 }
 
+/// The YCSB engine point's calendar-queue work must stay under the bound
+/// the queue recalibrates at: a closed-loop serving run whose pops scan
+/// more than [`MAX_SCAN_PER_POP`] bucket entries on average means a few
+/// far timers have set the bucket width for everything else again. The
+/// counter is deterministic, so unlike the timings it can gate exactly.
+fn check_ycsb_scan(points: &[Json], out: &mut Vec<String>) {
+    let ycsb = points
+        .iter()
+        .find(|e| e.get("name").and_then(|n| n.as_str()) == Some("ycsb_workload_a"));
+    let Some(point) = ycsb else {
+        out.push("`engine_points` has no `ycsb_workload_a` point".into());
+        return;
+    };
+    if let Some(scan) = point.get("scan_per_pop").and_then(|v| v.as_f64()) {
+        if scan > MAX_SCAN_PER_POP as f64 {
+            out.push(format!(
+                "ycsb_workload_a scans {scan} bucket entries per pop, over the queue's \
+                 bound of {MAX_SCAN_PER_POP}"
+            ));
+        }
+    }
+}
+
 /// Per-bench body checks, keyed by the `bench` field.
 fn check_body(root: &Json, out: &mut Vec<String>) {
     let Some(kind) = root.get("bench").and_then(|b| b.as_str()) else {
@@ -105,7 +131,9 @@ fn check_body(root: &Json, out: &mut Vec<String>) {
                     for e in es {
                         need_str(e, "name", out);
                         need_num(e, "events_per_sec", out);
+                        need_num(e, "scan_per_pop", out);
                     }
+                    check_ycsb_scan(es, out);
                 }
                 _ => out.push("`engine_points` is not a non-empty array".into()),
             }

@@ -61,7 +61,7 @@ use crate::topo::Cluster;
 use simkit::probe::{Probe, ProbeEvent};
 use simkit::resource::{report, ResourceReport};
 use simkit::trace::{Contrib, ResKind, Span, Trace};
-use simkit::{as_secs, secs, Latch, ReqTiming, ResourceId, Sim, SimTime};
+use simkit::{as_secs, secs, Latch, QueueWork, ReqTiming, ResourceId, Sim, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
 use std::rc::Rc;
@@ -770,6 +770,11 @@ impl ClusterExec {
     /// to report events/sec on real engine workloads.
     pub fn events_executed(&self) -> u64 {
         self.sim.events_executed()
+    }
+
+    /// The kernel queue's cumulative pop work (see [`Sim::queue_work`]).
+    pub fn queue_work(&self) -> QueueWork {
+        self.sim.queue_work()
     }
 
     pub fn trace(&self) -> &Trace {

@@ -54,6 +54,7 @@ pub mod trace;
 pub use latch::Latch;
 pub use probe::{Probe, ProbeEvent};
 pub use resource::ResourceId;
+pub use sched::QueueWork;
 pub use sim::{Event, ReqTiming, Sim, SimTime, TimedEvent};
 pub use trace::{Contrib, ResKind, Span, Trace, UtilSummary};
 

@@ -20,7 +20,9 @@
 //!   by the same year check every pop performs, so ordering is exact while
 //!   the common case never pays an O(log n) sift. The ring resizes
 //!   (deterministically, from event count and measured scan work) as the
-//!   pending population changes.
+//!   pending population changes, and takes its bucket width from the
+//!   dense part of the pending set: a few far timers wait in the spill
+//!   heap instead of widening every bucket.
 //!
 //! Ordering contract: strictly increasing `(at, seq)` — earliest time
 //! first, FIFO among equal times via the monotone sequence number. This is
@@ -119,7 +121,7 @@ impl Entry {
 /// Initial ring size; grows (powers of two) as the pending set grows.
 const INITIAL_BUCKETS: usize = 256;
 /// Initial bucket width exponent: 2^17 ns ≈ 131 µs. Resizes re-derive the
-/// width from the observed event span, so this only seeds small sims.
+/// width from the pending events, so this only seeds small sims.
 const INITIAL_SHIFT: u32 = 17;
 /// Ring size cap: beyond this, extra events deepen buckets instead.
 /// 2^21 buckets ≈ 50 MB of bucket headers — large enough that
@@ -132,15 +134,53 @@ const MAX_BUCKETS: usize = 1 << 21;
 /// single-nanosecond buckets.
 const MAX_SHIFT: u32 = 40;
 /// Recalibration cadence: every this-many pops, compare the measured
-/// insert/advance work against the thresholds below and re-derive the
-/// bucket width if the ring is mis-tuned for the current event density.
+/// pop work against the thresholds below and re-derive the bucket width
+/// if the ring is mis-tuned for the current event density. A check that
+/// trips costs O(buckets + events), so the next check then waits at least
+/// that many pops: recalibration stays amortised O(1) per pop however
+/// large the pending set.
 const RECAL_PERIOD: u64 = 4096;
 /// Width too *wide*: pops scan more than this many bucket entries on
-/// average (entries pile into few long buckets).
-const MAX_SCAN_PER_POP: u64 = 16;
+/// average (entries pile into few long buckets). Public so the bench
+/// validator holds the kernel bench's [`QueueWork::scan_per_pop`] to the
+/// same bound.
+pub const MAX_SCAN_PER_POP: u64 = 16;
 /// Width too *narrow*: pops step over more than this many empty buckets
 /// on average.
 const MAX_ADVANCE_PER_POP: u64 = 6;
+/// The width comes from the pending times up to this percentile: the
+/// dense part of the pending set. A sparse tail of far timers lies past
+/// the window that part sets and waits in the overflow heap.
+const DENSE_PERCENTILE: usize = 90;
+
+/// Cumulative work of the queue's pop loop: a read-only diagnostic (see
+/// [`crate::Sim::queue_work`]) that nothing in dispatch reads.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct QueueWork {
+    /// Pops that searched the queue (a pop answered by a staged peek was
+    /// counted at the peek).
+    pub pops: u64,
+    /// Bucket entries those pops scanned.
+    pub scanned: u64,
+    /// Empty buckets those pops stepped over.
+    pub advances: u64,
+    /// Pops answered by the overflow heap.
+    pub spilled: u64,
+}
+
+impl QueueWork {
+    /// Mean bucket entries scanned per pop (0 before the first pop).
+    pub fn scan_per_pop(&self) -> f64 {
+        self.scanned as f64 / self.pops.max(1) as f64
+    }
+
+    fn add(&mut self, w: QueueWork) {
+        self.pops += w.pops;
+        self.scanned += w.scanned;
+        self.advances += w.advances;
+        self.spilled += w.spilled;
+    }
+}
 
 /// A calendar queue: `nb` buckets (power of two) of `2^shift` ns each,
 /// covering a rolling window ("year" per bucket) of `nb << shift` ns from
@@ -150,12 +190,13 @@ const MAX_ADVANCE_PER_POP: u64 = 6;
 /// pop scans the small current bucket for its minimum — cheaper than
 /// keeping buckets sorted as long as buckets stay short, which the width
 /// tuning guarantees. Besides growing with the pending population, the
-/// queue counts the work its two loops actually do — bucket entries
-/// scanned per pop (width too wide: everything piles into few long
-/// buckets) and empty buckets stepped over (width too narrow) — and
-/// re-derives the width from the live event span whenever a
-/// [`RECAL_PERIOD`] window shows the ring mis-tuned. Both triggers depend
-/// only on event data, so resizing is deterministic.
+/// queue counts the work its pops actually do — bucket entries scanned
+/// (width too wide: everything piles into few long buckets), empty
+/// buckets stepped over (width too narrow) and pops the overflow heap
+/// answered (window too short) — and re-derives the width from the dense
+/// part of the pending set whenever a [`RECAL_PERIOD`] window shows the
+/// ring mis-tuned. Every trigger depends only on event data, so resizing
+/// is deterministic.
 ///
 /// Invariant: `ring_start <= at` for every stored event — maintained by
 /// pop (which advances the window only past empty-or-future buckets) and
@@ -174,15 +215,12 @@ pub(crate) struct CalendarQueue {
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
     /// A popped-but-unconsumed entry (backs [`CalendarQueue::peek_time`]).
     staged: Option<Entry>,
-    /// Pops since the last recalibration check.
-    pops: u64,
-    /// Bucket entries scanned by pops since the last check.
-    scanned: u64,
-    /// Empty buckets stepped over since the last check.
-    advances: u64,
-    /// Largest event time ever stored (stale after pops; used only to
-    /// estimate the span when deciding whether to re-derive the width).
-    max_seen: SimTime,
+    /// Pop work since the last recalibration check.
+    window: QueueWork,
+    /// Pop work of every earlier window.
+    past: QueueWork,
+    /// Pops the current window lasts before the next check.
+    recal_at: u64,
 }
 
 impl CalendarQueue {
@@ -196,15 +234,21 @@ impl CalendarQueue {
             ring_len: 0,
             overflow: BinaryHeap::new(),
             staged: None,
-            pops: 0,
-            scanned: 0,
-            advances: 0,
-            max_seen: 0,
+            window: QueueWork::default(),
+            past: QueueWork::default(),
+            recal_at: RECAL_PERIOD,
         }
     }
 
     pub(crate) fn len(&self) -> usize {
         self.ring_len + self.overflow.len() + usize::from(self.staged.is_some())
+    }
+
+    /// Pop work since the queue was created.
+    pub(crate) fn work(&self) -> QueueWork {
+        let mut w = self.past;
+        w.add(self.window);
+        w
     }
 
     #[inline]
@@ -244,7 +288,6 @@ impl CalendarQueue {
     }
 
     fn raw_push(&mut self, e: Entry) {
-        self.max_seen = self.max_seen.max(e.at);
         if e.at < self.ring_start {
             // Rewind: every stored event is >= ring_start > e.at, so `e`
             // is the new global minimum and moving the window back to its
@@ -277,17 +320,24 @@ impl CalendarQueue {
         self.staged.map(|e| e.at)
     }
 
+    /// Pop the overflow heap's head (the caller has checked it is due).
+    fn pop_overflow(&mut self) -> Option<Entry> {
+        let Reverse((at, seq, slot)) = self.overflow.pop()?;
+        self.window.spilled += 1;
+        Some(Entry { at, seq, slot })
+    }
+
     fn pop_scan(&mut self) -> Option<Entry> {
-        self.pops += 1;
-        if self.pops >= RECAL_PERIOD {
+        self.window.pops += 1;
+        if self.window.pops >= self.recal_at {
             self.maybe_recalibrate();
         }
         if self.ring_len == 0 {
             // Ring empty: the overflow heap holds the global minimum.
-            let Reverse((at, seq, slot)) = self.overflow.pop()?;
-            self.cur = self.bucket_of(at);
-            self.ring_start = self.year_start(at);
-            return Some(Entry { at, seq, slot });
+            let e = self.pop_overflow()?;
+            self.cur = self.bucket_of(e.at);
+            self.ring_start = self.year_start(e.at);
+            return Some(e);
         }
         let mut steps = 0usize;
         loop {
@@ -300,7 +350,7 @@ impl CalendarQueue {
             // (buckets are short by construction — the scan IS the width
             // tuning signal)...
             let bucket = &self.buckets[self.cur];
-            self.scanned += bucket.len() as u64;
+            self.window.scanned += bucket.len() as u64;
             let mut best: Option<(usize, (SimTime, u64))> = None;
             for (i, e) in bucket.iter().enumerate() {
                 let better = match best {
@@ -319,20 +369,14 @@ impl CalendarQueue {
                 .filter(|&(at, ..)| at <= year_last);
             match (best, over) {
                 (Some((_, bk)), Some((at, seq, _))) if (at, seq) < bk => {
-                    let Reverse((at, seq, slot)) =
-                        self.overflow.pop().expect("peeked overflow head");
-                    return Some(Entry { at, seq, slot });
+                    return self.pop_overflow();
                 }
                 (Some((i, _)), _) => {
                     let e = self.buckets[self.cur].swap_remove(i);
                     self.ring_len -= 1;
                     return Some(e);
                 }
-                (None, Some(_)) => {
-                    let Reverse((at, seq, slot)) =
-                        self.overflow.pop().expect("peeked overflow head");
-                    return Some(Entry { at, seq, slot });
-                }
+                (None, Some(_)) => return self.pop_overflow(),
                 (None, None) => {
                     steps += 1;
                     if steps > self.buckets.len() {
@@ -351,7 +395,7 @@ impl CalendarQueue {
                         steps = 0;
                         continue;
                     }
-                    self.advances += 1;
+                    self.window.advances += 1;
                     self.cur = (self.cur + 1) & self.mask;
                     self.ring_start = year_last + 1;
                 }
@@ -374,44 +418,53 @@ impl CalendarQueue {
         self.rebuild(nb);
     }
 
-    /// Work-driven recalibration (every [`RECAL_PERIOD`] pops): if pops
-    /// scanned too many bucket entries (buckets too long → width too
-    /// wide) or stepped over too many empty buckets (width too narrow),
-    /// re-derive the width from the live span at the current ring size.
-    /// Cheap to check; the rebuild itself is O(n) and rare.
+    /// Work-driven recalibration (every [`RECAL_PERIOD`] pops at least):
+    /// if pops scanned too many bucket entries (buckets too long → width
+    /// too wide), stepped over too many empty buckets (width too narrow)
+    /// or were mostly answered by the overflow heap (window too short for
+    /// where events are pushed), re-derive the width from the dense part
+    /// of the pending set at the current ring size.
     fn maybe_recalibrate(&mut self) {
-        let (pops, scanned, advs) = (self.pops, self.scanned, self.advances);
-        self.pops = 0;
-        self.scanned = 0;
-        self.advances = 0;
-        if scanned <= pops * MAX_SCAN_PER_POP && advs <= pops * MAX_ADVANCE_PER_POP {
+        let w = std::mem::take(&mut self.window);
+        self.past.add(w);
+        self.recal_at = RECAL_PERIOD;
+        if w.scanned <= w.pops * MAX_SCAN_PER_POP
+            && w.advances <= w.pops * MAX_ADVANCE_PER_POP
+            && w.spilled * 2 <= w.pops
+        {
             return;
         }
         let total = self.ring_len + self.overflow.len();
         if total < 2 {
             return;
         }
+        // What follows is O(buckets + events); waiting as many pops before
+        // the next check keeps it amortised O(1) per pop.
+        self.recal_at = RECAL_PERIOD.max((self.buckets.len() + total) as u64);
         // Hysteresis: rebuild only if the re-derived width actually
-        // differs — a workload sitting at the work threshold must not pay
-        // an O(n) rebuild into the same geometry every window. The span
-        // estimate is O(1): `ring_start` tracks the minimum (window
-        // invariant) and `max_seen` the high-water mark.
-        if self.derive_shift(self.ring_start, self.max_seen, self.buckets.len()) == self.shift {
+        // differs — a workload sitting at a work threshold (say, many
+        // same-instant ties, which no width splits) must not pay an O(n)
+        // rebuild into the same geometry every window.
+        let mut pending: Vec<Entry> = self
+            .buckets
+            .iter()
+            .flatten()
+            .copied()
+            .chain(
+                self.overflow
+                    .iter()
+                    .map(|&Reverse((at, seq, slot))| Entry { at, seq, slot }),
+            )
+            .collect();
+        if dense_geometry(&mut pending, self.buckets.len()).1 == self.shift {
             return;
         }
         self.rebuild(self.buckets.len());
     }
 
-    /// Width exponent for `nb` buckets spanning twice `[min_at, max_at]`.
-    fn derive_shift(&self, min_at: SimTime, max_at: SimTime, nb: usize) -> u32 {
-        let target_width = ((max_at - min_at).saturating_mul(4) / nb as u64).max(1);
-        (64 - target_width.leading_zeros()).min(MAX_SHIFT)
-    }
-
     /// Re-bucket every stored event into `nb` buckets (power of two) with
-    /// a width derived from the observed span: window target is twice the
-    /// span, so steady-state pushes land in the ring, not the overflow
-    /// heap. No-op on ordering; `staged` is untouched.
+    /// a width from the dense part of the pending set (see
+    /// [`dense_geometry`]). No-op on ordering; `staged` is untouched.
     fn rebuild(&mut self, nb: usize) {
         let total = self.ring_len + self.overflow.len();
         let mut entries: Vec<Entry> = Vec::with_capacity(total);
@@ -424,10 +477,8 @@ impl CalendarQueue {
         if entries.is_empty() {
             return;
         }
-        let min_at = entries.iter().map(|e| e.at).min().expect("total > 0");
-        let max_at = entries.iter().map(|e| e.at).max().expect("total > 0");
-        self.max_seen = max_at;
-        self.shift = self.derive_shift(min_at, max_at, nb);
+        let (min_at, shift) = dense_geometry(&mut entries, nb);
+        self.shift = shift;
         if self.buckets.len() < nb {
             self.buckets.resize_with(nb, Vec::new);
         }
@@ -439,6 +490,22 @@ impl CalendarQueue {
             self.raw_push(e);
         }
     }
+}
+
+/// The earliest pending time, and the width exponent for `nb` buckets,
+/// from the dense part of `pending`: the span from its earliest time to
+/// its [`DENSE_PERCENTILE`]th-percentile time. The `nb`-bucket window
+/// covers four to eight times that span, so steady-state pushes land in
+/// the ring, while a sparse tail of far timers (stats ticks out to the end
+/// of a run, checkpoints scheduled up front) waits in the overflow heap
+/// instead of stretching every bucket. Reorders `pending`; expected O(len).
+fn dense_geometry(pending: &mut [Entry], nb: usize) -> (SimTime, u32) {
+    let k = (pending.len() - 1) * DENSE_PERCENTILE / 100;
+    let (below, kth, _) = pending.select_nth_unstable_by_key(k, |e| e.at);
+    let dense_end = kth.at;
+    let min_at = below.iter().map(|e| e.at).min().unwrap_or(dense_end);
+    let target_width = ((dense_end - min_at).saturating_mul(4) / nb as u64).max(1);
+    (min_at, (64 - target_width.leading_zeros()).min(MAX_SHIFT))
 }
 
 #[cfg(test)]
@@ -503,6 +570,16 @@ mod tests {
             spread: u32,
             salt: u64,
         },
+        /// `far` timers at 1, 2, … `far` times `2^(spread + 12)` ns ahead,
+        /// then a `Burst` of `n` events under `2^spread` ns ahead, held by
+        /// `4n` `Hold` steps: a closed loop kept dense next to a sparse
+        /// tail of far timers, which must not set the bucket width.
+        DenseTail {
+            n: u64,
+            far: u64,
+            spread: u32,
+            salt: u64,
+        },
         /// Peek, then push an event between the clock and the peeked time.
         PeekThenEarlier {
             frac: u64,
@@ -526,6 +603,14 @@ mod tests {
                 spread,
                 salt
             }),
+            (1u64..1_000, 1u64..9, 0u32..26, any::<u64>()).prop_map(|(n, far, spread, salt)| {
+                Op::DenseTail {
+                    n,
+                    far,
+                    spread,
+                    salt,
+                }
+            }),
             any::<u64>().prop_map(|frac| Op::PeekThenEarlier { frac }),
             Just(Op::Peek),
             // Pops weighted three to one so queues drain as well as fill.
@@ -545,6 +630,7 @@ mod tests {
         recalibrate: bool,
         rewind: bool,
         earlier_after_peek: bool,
+        far_tail: bool,
     }
 
     /// A `CalendarQueue` driven in lockstep with the sorted reference
@@ -568,6 +654,7 @@ mod tests {
             self.reached.recalibrate |= self.q.buckets.len() == nb && self.q.shift != shift;
             self.reached.rewind |= self.q.ring_start < start;
             self.reached.overflow |= !self.q.overflow.is_empty();
+            self.note_rebuild(nb, shift);
             self.check_len()
         }
 
@@ -579,6 +666,7 @@ mod tests {
                 return Err(format!("pop returned {got:?}, model holds {want:?} next"));
             }
             self.reached.recalibrate |= self.q.buckets.len() == nb && self.q.shift != shift;
+            self.note_rebuild(nb, shift);
             if let Some(e) = got {
                 self.reached.tie |= self.model.first().is_some_and(|&(at, _)| at == e.at);
                 self.clock = e.at;
@@ -594,6 +682,22 @@ mod tests {
             }
             self.check_len()?;
             Ok(got)
+        }
+
+        /// A rebuild (new ring size or width) that leaves the ring in use
+        /// and, in the overflow heap, an event that a window of the widest
+        /// buckets would have held: the width came from the dense part of
+        /// the pending set, not from its far tail.
+        fn note_rebuild(&mut self, nb: usize, shift: u32) {
+            let q = &self.q;
+            if (q.buckets.len(), q.shift) == (nb, shift) || q.ring_len == 0 {
+                return;
+            }
+            let widest = (q.buckets.len() as u64) << MAX_SHIFT;
+            self.reached.far_tail |= q
+                .overflow
+                .peek()
+                .is_some_and(|Reverse((at, ..))| at - q.ring_start < widest);
         }
 
         fn check_len(&self) -> Result<(), String> {
@@ -641,6 +745,22 @@ mod tests {
                         self.pop()?;
                         self.push(self.clock.saturating_add(mix(salt ^ i) % (1 << spread)))?;
                     }
+                }
+                Op::DenseTail {
+                    n,
+                    far,
+                    spread,
+                    salt,
+                } => {
+                    for i in 1..=far {
+                        self.push(now.saturating_add(i << (spread + 12)))?;
+                    }
+                    self.apply(Op::Burst { n, spread, salt })?;
+                    self.apply(Op::Hold {
+                        n: 4 * n,
+                        spread,
+                        salt: !salt,
+                    })?;
                 }
                 Op::PeekThenEarlier { frac } => {
                     if let Some(t) = self.peek()? {
@@ -694,8 +814,8 @@ mod tests {
         /// The queue pops in exactly the order of a sorted `(at, seq)`
         /// set, and its length tracks the set, over generated mixes of
         /// same-instant ties, far-future overflow, same-bucket aliasing,
-        /// growth bursts, recalibrating holds and earlier-than-peeked
-        /// pushes. `Sim` fires events in pop order, so this is the
+        /// growth bursts, recalibrating holds, dense loops next to a far
+        /// tail and earlier-than-peeked pushes. `Sim` fires events in pop order, so this is the
         /// kernel's whole ordering contract.
         #[test]
         fn pops_match_a_sorted_reference_model(
@@ -736,7 +856,9 @@ mod tests {
         // Peek a far event so the window jumps ahead, fill that window,
         // then push before the peeked event so the window rewinds under
         // it. Then burst into one bucket and hold it dense until the scan
-        // counter recalibrates, and grow past the initial ring.
+        // counter recalibrates, and grow past the initial ring. Holding a
+        // dense loop while far events wait sets the width from the dense
+        // part and leaves the far tail in the overflow heap.
         let ops = [
             Op::Far { exp: 30, jitter: 0 },
             Op::Peek,
@@ -769,6 +891,12 @@ mod tests {
                 salt: 4,
             },
             Op::Far { exp: 64, jitter: 0 },
+            Op::DenseTail {
+                n: 800,
+                far: 8,
+                spread: 25,
+                salt: 5,
+            },
         ];
         let reached = replay(&ops).expect("queue agrees with the model");
         assert_eq!(
@@ -781,7 +909,81 @@ mod tests {
                 recalibrate: true,
                 rewind: true,
                 earlier_after_peek: true,
+                far_tail: true,
             }
+        );
+    }
+
+    #[test]
+    fn far_timers_leave_a_dense_closed_loop_short_buckets() {
+        // The serving shape: a few timers seconds ahead (stats ticks out to
+        // the end of the run) scheduled first, then ~800 closed-loop
+        // clients within ~40 ms of the clock, each pushed again as soon as
+        // it pops. Sizing buckets from the whole span put all 800 into a
+        // handful of buckets and scanned hundreds of entries per pop.
+        const MS: SimTime = 1_000_000;
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        let mut push = |q: &mut CalendarQueue, at: SimTime| {
+            q.push(entry(at, seq));
+            seq += 1;
+        };
+        for s in 2..=9 {
+            push(&mut q, s * 1_000 * MS);
+        }
+        for i in 0..800 {
+            push(&mut q, mix(i) % (40 * MS));
+        }
+        let mut hold = |q: &mut CalendarQueue, pops: u64| {
+            for _ in 0..pops {
+                let e = q.pop().expect("the loop holds its population");
+                push(q, e.at + mix(e.seq) % (40 * MS));
+            }
+        };
+        hold(&mut q, RECAL_PERIOD);
+        let first_window = q.work();
+        hold(&mut q, 8 * RECAL_PERIOD);
+        let w = q.work();
+        let (pops, scanned) = (w.pops - first_window.pops, w.scanned - first_window.scanned);
+        assert!(
+            scanned <= pops * MAX_SCAN_PER_POP,
+            "{scanned} entries scanned over {pops} pops"
+        );
+    }
+
+    #[test]
+    fn a_width_set_by_same_instant_ties_widens_again() {
+        // A rebuild while same-instant ties make up the dense part of the
+        // pending set gives 2 ns buckets. Once the ties drain, every push
+        // lands past the window and the overflow heap answers every pop,
+        // scanning no bucket and stepping over none: only the count of
+        // heap-answered pops can show the ring mis-tuned.
+        const MS: SimTime = 1_000_000;
+        let mut q = CalendarQueue::new();
+        let mut seq = 0u64;
+        for i in 0..120 {
+            let at = if i < 110 { MS } else { MS + mix(i) % MS };
+            q.push(entry(at, seq));
+            seq += 1;
+        }
+        q.rebuild(q.buckets.len());
+        assert_eq!(q.shift, 1, "the ties set the width");
+        for _ in 0..3 * RECAL_PERIOD {
+            let e = q.pop().expect("the loop holds its population");
+            q.push(entry(e.at + mix(e.seq) % MS, seq));
+            seq += 1;
+        }
+        let before = q.work();
+        for _ in 0..RECAL_PERIOD {
+            let e = q.pop().expect("the loop holds its population");
+            q.push(entry(e.at + mix(e.seq) % MS, seq));
+            seq += 1;
+        }
+        let w = q.work();
+        let (pops, spilled) = (w.pops - before.pops, w.spilled - before.spilled);
+        assert!(
+            spilled * 10 < pops,
+            "{spilled} of {pops} pops answered by the overflow heap"
         );
     }
 

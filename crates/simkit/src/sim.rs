@@ -12,7 +12,7 @@ use std::rc::Rc;
 
 use crate::probe::{Probe, ProbeEvent};
 use crate::resource::{Done, ResourceId, ResourceState};
-use crate::sched::{Action, Arena, CalendarQueue, Entry};
+use crate::sched::{Action, Arena, CalendarQueue, Entry, QueueWork};
 use crate::trace::ResKind;
 
 /// Virtual time in nanoseconds since simulation start.
@@ -182,6 +182,14 @@ impl<W: 'static> Sim<W> {
     /// Events currently pending (scheduled but not yet fired).
     pub fn pending_events(&self) -> usize {
         self.queue.len()
+    }
+
+    /// Cumulative work of the event queue's pops: entries scanned, empty
+    /// buckets stepped over and overflow-heap answers. Diagnostics only —
+    /// dispatch never reads it — for benches that track the queue's cost
+    /// per event (`scan_per_pop` in `bench_kernel`).
+    pub fn queue_work(&self) -> QueueWork {
+        self.queue.work()
     }
 
     /// High-water mark of the event arena: the peak number of events that

@@ -106,12 +106,10 @@ impl SqlNode {
     pub fn unlock_x(&mut self, key: u64, sim: &mut S) {
         if let Some(state) = self.locks.get_mut(&key) {
             state.x_held = false;
-            let waiters: Vec<_> = state.waiters.drain(..).collect();
-            if state.waiters.is_empty() && !state.x_held {
+            let waiters = std::mem::take(&mut state.waiters);
+            if waiters.is_empty() {
                 // Keep the table small: drop idle entries.
-                if waiters.is_empty() {
-                    self.locks.remove(&key);
-                }
+                self.locks.remove(&key);
             }
             for w in waiters {
                 sim.schedule_in(0, w);
