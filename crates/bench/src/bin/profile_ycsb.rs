@@ -9,20 +9,18 @@
 //!     [--tenants 4] [--slo]
 //! ```
 //!
-//! The observer is passive: the same point run through `repro_fig*` yields
-//! byte-identical throughput/latency numbers.
+//! Every completed op feeds the streaming metric registry and the tables
+//! are rendered from it. The observer is passive: the same point run
+//! through `repro_fig*` yields byte-identical throughput/latency numbers.
 //!
-//! `--tenants N` reruns the point with client threads partitioned into N
-//! tenants feeding the streaming metric registry; the windowed section is
-//! then *derived* from the registry — bit-identical to the direct fold, so
-//! the default output doesn't change — and a per-tenant ops table is
-//! appended. `--slo` (with `--tenants`) also appends per-tenant SLO burn
-//! rates (same policies as the `slo_report` bin).
+//! `--tenants N` partitions client threads into N tenants; tenants merge
+//! away in the windowed tables, so they do not change, and a per-tenant
+//! ops table is appended. `--slo` (with `--tenants`) also appends
+//! per-tenant SLO burn rates (same policies as the `slo_report` bin).
 
 use bench::figures::figure_config;
-use elephants_core::serving::{run_point_profiled, run_point_profiled_tenants, SystemKind};
+use elephants_core::serving::{run_point_profiled, SystemKind};
 use obs::SloPolicy;
-use ycsb::workload::Workload;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -31,14 +29,7 @@ fn main() {
     let windows = bench::arg_usize(&args, "--windows", 4);
     let tenants = bench::arg_usize(&args, "--tenants", 0) as u32;
     let slo = bench::has_flag(&args, "--slo");
-    let workload = match bench::arg_str(&args, "--workload").as_deref() {
-        None | Some("A") | Some("a") => Workload::A,
-        Some("B") | Some("b") => Workload::B,
-        Some("C") | Some("c") => Workload::C,
-        Some("D") | Some("d") => Workload::D,
-        Some("E") | Some("e") => Workload::E,
-        Some(other) => panic!("unknown workload {other}"),
-    };
+    let workload = bench::arg_workload(&args);
 
     println!(
         "# Windowed latency profile — YCSB workload {:?} @ target {target:.0} ops/s",
@@ -50,25 +41,25 @@ fn main() {
     );
     for system in SystemKind::all() {
         eprintln!("  {} ...", system.label());
-        let (point, wl, reg) = if tenants > 0 {
-            let (p, w, r) =
-                run_point_profiled_tenants(&cfg, system, workload, target, windows, tenants);
-            (p, w, Some(r))
-        } else {
-            let (p, w) = run_point_profiled(&cfg, system, workload, target, windows);
-            (p, w, None)
-        };
+        let (point, reg) = run_point_profiled(&cfg, system, workload, target, windows, tenants);
         println!();
         print!(
             "{}",
-            wl.render(&format!(
-                "{} — achieved {:.0} ops/s{}",
+            obs::serving::render(
+                &reg,
                 system.label(),
-                point.achieved_ops,
-                if point.crashed { " (CRASHED)" } else { "" }
-            ))
+                windows,
+                &format!(
+                    "{} — achieved {:.0} ops/s{}",
+                    system.label(),
+                    point.achieved_ops,
+                    if point.crashed { " (CRASHED)" } else { "" }
+                )
+            )
         );
-        let Some(reg) = reg else { continue };
+        if tenants == 0 {
+            continue;
+        }
         println!("per-tenant ops ({tenants} tenants, client threads round-robin):");
         for (engine, op) in reg.ops() {
             for t in reg.tenants(engine, op) {

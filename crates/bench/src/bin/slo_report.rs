@@ -15,9 +15,8 @@
 //! output is the byte-diff-gated `results/slo_report_a.txt`.
 
 use bench::figures::figure_config;
-use elephants_core::serving::{run_point_profiled_tenants, SystemKind};
+use elephants_core::serving::{run_point_profiled, SystemKind};
 use obs::SloPolicy;
-use ycsb::workload::Workload;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -26,14 +25,7 @@ fn main() {
     let windows = bench::arg_usize(&args, "--windows", 8);
     let tenants = bench::arg_usize(&args, "--tenants", 4) as u32;
     let short = bench::arg_usize(&args, "--short", 2) as u64;
-    let workload = match bench::arg_str(&args, "--workload").as_deref() {
-        None | Some("A") | Some("a") => Workload::A,
-        Some("B") | Some("b") => Workload::B,
-        Some("C") | Some("c") => Workload::C,
-        Some("D") | Some("d") => Workload::D,
-        Some("E") | Some("e") => Workload::E,
-        Some(other) => panic!("unknown workload {other}"),
-    };
+    let workload = bench::arg_workload(&args);
     // Targets sit between SQL-CS's latencies (~11 ms p95 at this point)
     // and the Mongo variants' (~45–70 ms p95), so the committed artifact
     // shows all three verdicts: healthy tenants, a slow warning burn, and
@@ -53,8 +45,7 @@ fn main() {
     );
     for system in SystemKind::all() {
         eprintln!("  {} ...", system.label());
-        let (point, _wl, reg) =
-            run_point_profiled_tenants(&cfg, system, workload, target, windows, tenants);
+        let (point, reg) = run_point_profiled(&cfg, system, workload, target, windows, tenants);
         let evals = obs::slo::evaluate(&reg, system.label(), &policies, short);
         println!();
         print!(

@@ -71,13 +71,15 @@ fn figure_inner(
         for &target in targets {
             eprintln!("  {} @ target {:.0} ops/s ...", system.label(), target);
             let p = if timeline {
-                let (p, wl) = run_point_profiled(cfg, system, workload, target, PROFILE_WINDOWS);
+                let (p, reg) =
+                    run_point_profiled(cfg, system, workload, target, PROFILE_WINDOWS, 0);
                 profiles.push('\n');
-                profiles.push_str(&wl.render(&format!(
-                    "{} @ target {:.0} ops/s",
+                profiles.push_str(&obs::serving::render(
+                    &reg,
                     system.label(),
-                    target
-                )));
+                    PROFILE_WINDOWS,
+                    &format!("{} @ target {:.0} ops/s", system.label(), target),
+                ));
                 p
             } else {
                 run_point(cfg, system, workload, target)

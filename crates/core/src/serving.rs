@@ -2,7 +2,7 @@
 
 use cluster::Params;
 use docstore::{MongoCluster, Sharding};
-use obs::{MetricKey, MetricRegistry, WindowedLatencies};
+use obs::{MetricKey, MetricRegistry};
 use simkit::{Sim, SimTime};
 use sqlengine::SqlCluster;
 use std::cell::RefCell;
@@ -158,33 +158,17 @@ fn run_point_inner(
     }
 }
 
-/// Bridges the driver's per-op callback into the windowed collector.
-struct WindowedObserver(WindowedLatencies);
-
-impl OpObserver for WindowedObserver {
-    fn on_op(
-        &mut self,
-        ty: OpType,
-        shard: Option<usize>,
-        _client: u32,
-        at: SimTime,
-        latency: SimTime,
-    ) {
-        self.0.record(ty.label(), shard, at, latency);
-    }
-}
-
 /// Bridges the driver's per-op callback into the streaming registry,
 /// assigning each client thread to a tenant round-robin (`client %
 /// tenants`) — deterministic, stable across the run, and independent of
-/// op timing.
-struct TenantObserver {
+/// op timing. With no tenants every op is keyed `tenant: None`.
+struct RegistryObserver {
     reg: MetricRegistry,
     engine: &'static str,
     tenants: u32,
 }
 
-impl OpObserver for TenantObserver {
+impl OpObserver for RegistryObserver {
     fn on_op(
         &mut self,
         ty: OpType,
@@ -193,19 +177,19 @@ impl OpObserver for TenantObserver {
         at: SimTime,
         latency: SimTime,
     ) {
-        let key = MetricKey::new(
-            self.engine,
-            ty.label(),
-            shard,
-            Some(client % self.tenants.max(1)),
-        );
+        let tenant = (self.tenants > 0).then(|| client % self.tenants);
+        let key = MetricKey::new(self.engine, ty.label(), shard, tenant);
         self.reg.observe(key, at, latency);
     }
 }
 
-/// [`run_point`] with a windowed latency profile attached: the measurement
-/// interval is cut into `windows` fixed windows and per-shard latency
-/// histograms are kept per window. The observer is passive — the
+/// [`run_point`] with a streaming latency profile attached: the
+/// measurement interval is cut into `windows` fixed windows, client
+/// threads are partitioned into `tenants` tenants (0 = untagged), and
+/// every completed op feeds a [`MetricRegistry`] keyed `(engine, op,
+/// shard, tenant)`. Render the windows with [`obs::serving::render`]; the
+/// ring also retains the driver's post-measurement drain, which
+/// [`obs::slo::evaluate`] reads. The observer is passive — the
 /// `SweepPoint` is byte-identical to an unprofiled [`run_point`].
 pub fn run_point_profiled(
     cfg: &ServingConfig,
@@ -213,46 +197,15 @@ pub fn run_point_profiled(
     workload: Workload,
     target_ops: f64,
     windows: usize,
-) -> (SweepPoint, WindowedLatencies) {
-    let t0 = simkit::secs(cfg.warmup_secs);
-    let window = simkit::secs(cfg.measure_secs / windows.max(1) as f64);
-    let obs = Rc::new(RefCell::new(WindowedObserver(WindowedLatencies::new(
-        t0,
-        window.max(1),
-        windows.max(1),
-    ))));
-    let point = run_point_inner(cfg, system, workload, target_ops, Some(obs.clone()));
-    let obs = Rc::try_unwrap(obs)
-        .ok()
-        .expect("driver released observer")
-        .into_inner();
-    (point, obs.0)
-}
-
-/// [`run_point_profiled`] with multi-tenant streaming metrics: client
-/// threads are partitioned into `tenants` tenants and every completed op
-/// feeds a [`MetricRegistry`] keyed `(engine, op, shard, tenant)` —
-/// counters plus sliding-window latency histograms, updated as the run
-/// progresses. The returned [`WindowedLatencies`] is *derived* from the
-/// registry ([`MetricRegistry::to_windowed`]), which is bit-identical to
-/// the direct fold (tenant splits merge away exactly), so callers that
-/// only read the windowed view cannot tell the paths apart. The observer
-/// stays passive: the `SweepPoint` is byte-identical to [`run_point`].
-pub fn run_point_profiled_tenants(
-    cfg: &ServingConfig,
-    system: SystemKind,
-    workload: Workload,
-    target_ops: f64,
-    windows: usize,
     tenants: u32,
-) -> (SweepPoint, WindowedLatencies, MetricRegistry) {
+) -> (SweepPoint, MetricRegistry) {
     let t0 = simkit::secs(cfg.warmup_secs);
     let window = simkit::secs(cfg.measure_secs / windows.max(1) as f64).max(1);
     // The driver drains in-flight ops for 5 s past the measurement end;
     // those completions land in windows past the profiled range and must
     // not evict it from the ring, so retain the drain's windows too.
     let cap = windows.max(1) + (simkit::secs(5.0) / window) as usize + 2;
-    let obs = Rc::new(RefCell::new(TenantObserver {
+    let obs = Rc::new(RefCell::new(RegistryObserver {
         reg: MetricRegistry::new(t0, window, cap),
         engine: system.label(),
         tenants,
@@ -262,8 +215,7 @@ pub fn run_point_profiled_tenants(
         .ok()
         .expect("driver released observer")
         .into_inner();
-    let wl = obs.reg.to_windowed(system.label(), windows.max(1));
-    (point, wl, obs.reg)
+    (point, obs.reg)
 }
 
 /// Sweep a workload over targets for every system.
@@ -326,42 +278,28 @@ mod tests {
     fn profiled_point_is_byte_identical_and_windowed() {
         let cfg = tiny();
         let plain = run_point(&cfg, SystemKind::SqlCs, Workload::A, 2_000.0);
-        let (prof, wl) = run_point_profiled(&cfg, SystemKind::SqlCs, Workload::A, 2_000.0, 4);
+        let (prof, reg) = run_point_profiled(&cfg, SystemKind::SqlCs, Workload::A, 2_000.0, 4, 0);
         // Passivity: the observer must not change any result field.
         assert_eq!(format!("{plain:?}"), format!("{prof:?}"));
-        let total: u64 = (0..wl.windows())
-            .map(|w| wl.merged("read", w).count())
+        let total: u64 = (0..4)
+            .map(|w| reg.merged_window("SQL-CS", "read", w).count())
             .sum();
         assert!(total > 0, "windowed reads recorded");
-        assert!(!wl.shards("read").is_empty(), "shard labels present");
+        assert!(
+            reg.latency_keys().any(|k| k.shard.is_some()),
+            "shard labels present"
+        );
+        assert!(reg.tenants("SQL-CS", "read").is_empty(), "untagged");
     }
 
     #[test]
     fn tenant_profile_matches_plain_profile_bit_for_bit() {
         let cfg = tiny();
-        let (plain, wl) = run_point_profiled(&cfg, SystemKind::SqlCs, Workload::A, 2_000.0, 4);
-        let (point, twl, reg) =
-            run_point_profiled_tenants(&cfg, SystemKind::SqlCs, Workload::A, 2_000.0, 4, 4);
-        // Passivity again, across observer implementations.
+        let plain = run_point(&cfg, SystemKind::SqlCs, Workload::A, 2_000.0);
+        let (point, reg) = run_point_profiled(&cfg, SystemKind::SqlCs, Workload::A, 2_000.0, 4, 4);
+        // Passivity again, with tenant tagging on.
         assert_eq!(format!("{plain:?}"), format!("{point:?}"));
-        // The registry-derived windowed view is bit-identical to the
-        // direct fold: tenant splitting merges away exactly.
-        for op in ["read", "update"] {
-            for w in 0..4 {
-                assert_eq!(twl.merged(op, w), wl.merged(op, w), "{op} w{w}");
-            }
-        }
-        // All four tenants saw traffic, and their windows partition the
-        // merged histogram.
-        let tenants = reg.tenants("SQL-CS", "read");
-        assert_eq!(tenants, vec![0, 1, 2, 3]);
-        let whole = reg.merged_window("SQL-CS", "read", 1).count();
-        let parts: u64 = tenants
-            .iter()
-            .map(|&t| reg.tenant_window("SQL-CS", "read", Some(t), 1).count())
-            .sum();
-        assert_eq!(whole, parts);
-        assert!(whole > 0);
+        assert_eq!(reg.tenants("SQL-CS", "read"), vec![0, 1, 2, 3]);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!    and a task-concurrency track, exported as Chrome Trace Event JSON
 //!    ([`chrome_trace`], loadable in Perfetto), stable JSONL ([`jsonl()`]),
 //!    or an [`ascii_timeline`].
-//! 2. **Streaming metrics** — [`metrics::MetricRegistry`] keeps counters,
-//!    gauges, and sliding-window latency histograms keyed by
-//!    `(engine, op, shard, tenant)`, updated incrementally as events
-//!    arrive; its windows are bit-identical to the post-hoc
-//!    [`WindowedLatencies`] fold over the same stream.
+//! 2. **Streaming metrics** — [`metrics::MetricRegistry`] keeps
+//!    sliding-window latency histograms keyed by
+//!    `(engine, op, shard, tenant)`, updated incrementally as samples
+//!    arrive. It is the one serving-side latency collector: the windowed
+//!    percentile report ([`serving::render`]) and the SLO burn rates
+//!    ([`slo`]) both read it.
 //! 3. **Query-time analysis** — [`critpath::CritPathProbe`] reconstructs
 //!    each span's blocking structure from the kernel's span↔resource
 //!    linkage and partitions elapsed time into per-kind service, queue
@@ -44,7 +45,6 @@ pub use chrome::chrome_trace;
 pub use critpath::{CritPathProbe, CritPathReport, Verdict};
 pub use jsonl::jsonl;
 pub use metrics::{MetricKey, MetricRegistry};
-pub use serving::WindowedLatencies;
 pub use slo::{SloPolicy, SloStatus};
 pub use timeline::TimelineProbe;
 

@@ -1,20 +1,16 @@
-//! Deterministic streaming metric registry.
+//! Deterministic streaming metric registry: the one serving-side latency
+//! collector.
 //!
-//! PR 4's observability plane records everything and folds it *after* the
-//! run ([`crate::WindowedLatencies`], [`crate::TimelineProbe`]). This
-//! module is the live half: counters, gauges, and sliding-window latency
-//! histograms keyed by `(engine, op, shard, tenant)` that are updated
-//! **incrementally** as samples arrive, so a sensor inside a running
-//! experiment (the `pdw::FeedbackCosts` loop, an elasticity balancer, an
-//! SLO evaluator) can read current values mid-flight instead of waiting
-//! for the end-of-run fold.
+//! Sliding-window latency histograms keyed by `(engine, op, shard,
+//! tenant)`, updated **incrementally** as samples arrive, so a sensor
+//! inside a running experiment (the adaptive re-planner, an SLO evaluator)
+//! can read current values mid-flight, and end-of-run reports
+//! ([`crate::serving::render`], [`crate::slo::render`]) read the same
+//! windows afterwards.
 //!
 //! Everything here is plain deterministic bookkeeping: `BTreeMap` keying,
 //! integer window arithmetic, [`LatencyHistogram`] bucketing. Feeding the
-//! same sample stream always produces the same registry, and the windows
-//! are **bit-identical** to the post-hoc [`crate::WindowedLatencies`] fold
-//! over the same stream (`crates/obs/tests/streaming.rs` pins this as a
-//! property; [`MetricRegistry::to_windowed`] materializes the fold view).
+//! same sample stream always produces the same registry.
 
 use simkit::stats::LatencyHistogram;
 use simkit::SimTime;
@@ -23,25 +19,26 @@ use std::collections::BTreeMap;
 /// Metric identity: which engine, which operation, which shard (if the
 /// store is sharded), which tenant (if the workload is multi-tenant).
 /// `None` dimensions collapse — a single-tenant run keys everything under
-/// `tenant: None` and reads identically to before tenancy existed.
-#[derive(Clone, Debug, PartialEq, Eq, PartialOrd, Ord)]
+/// `tenant: None`. Labels are static strings, so building a key per
+/// sample allocates nothing.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
 pub struct MetricKey {
-    pub engine: String,
-    pub op: String,
+    pub engine: &'static str,
+    pub op: &'static str,
     pub shard: Option<usize>,
     pub tenant: Option<u32>,
 }
 
 impl MetricKey {
     pub fn new(
-        engine: impl Into<String>,
-        op: impl Into<String>,
+        engine: &'static str,
+        op: &'static str,
         shard: Option<usize>,
         tenant: Option<u32>,
     ) -> MetricKey {
         MetricKey {
-            engine: engine.into(),
-            op: op.into(),
+            engine,
+            op,
             shard,
             tenant,
         }
@@ -50,9 +47,7 @@ impl MetricKey {
 
 /// A ring of per-window [`LatencyHistogram`]s over fixed windows of
 /// `width` ns starting at `t0`, retaining the most recent `cap` windows.
-/// Window `w` covers `[t0 + w*width, t0 + (w+1)*width)` — exactly the
-/// arithmetic [`crate::WindowedLatencies::record`] uses, which is what
-/// makes the bit-identity proof possible.
+/// Window `w` covers `[t0 + w*width, t0 + (w+1)*width)`.
 ///
 /// Samples must arrive in non-decreasing `at` order (probe streams and op
 /// observers are emitted from the deterministic event loop, so they do).
@@ -81,21 +76,13 @@ impl SlidingWindows {
         }
     }
 
-    pub fn width(&self) -> SimTime {
-        self.width
-    }
-
-    pub fn start(&self) -> SimTime {
-        self.t0
-    }
-
     /// Highest window index with data so far (0 if nothing recorded).
     pub fn hi(&self) -> u64 {
         self.hi
     }
 
-    /// Record one sample. Samples before `t0` are dropped (same rule as
-    /// the fold); windows older than the retained `cap` are gone.
+    /// Record one sample. Samples before `t0` are dropped; windows older
+    /// than the retained `cap` are gone.
     pub fn record(&mut self, at: SimTime, v: SimTime) {
         if at < self.t0 {
             return;
@@ -141,15 +128,13 @@ impl SlidingWindows {
     }
 }
 
-/// The streaming registry: counters, gauges, and sliding-window latency
-/// histograms, all keyed by [`MetricKey`]. One registry per run; feed it
-/// from an op observer or a probe and read it at any point.
+/// The streaming registry: sliding-window latency histograms keyed by
+/// [`MetricKey`]. One registry per run; feed it from an op observer or a
+/// probe and read it at any point.
 pub struct MetricRegistry {
     t0: SimTime,
     width: SimTime,
     cap: usize,
-    counters: BTreeMap<MetricKey, u64>,
-    gauges: BTreeMap<MetricKey, f64>,
     latencies: BTreeMap<MetricKey, SlidingWindows>,
 }
 
@@ -162,8 +147,6 @@ impl MetricRegistry {
             t0,
             width,
             cap,
-            counters: BTreeMap::new(),
-            gauges: BTreeMap::new(),
             latencies: BTreeMap::new(),
         }
     }
@@ -172,41 +155,22 @@ impl MetricRegistry {
         self.width
     }
 
-    pub fn start(&self) -> SimTime {
-        self.t0
+    /// Windows retained per key.
+    pub fn capacity(&self) -> usize {
+        self.cap
     }
 
-    /// Increment a counter by `n`.
-    pub fn add(&mut self, key: MetricKey, n: u64) {
-        *self.counters.entry(key).or_insert(0) += n;
-    }
-
-    /// Increment a counter by one.
-    pub fn inc(&mut self, key: MetricKey) {
-        self.add(key, 1);
-    }
-
-    /// Set a gauge to its latest value.
-    pub fn set_gauge(&mut self, key: MetricKey, v: f64) {
-        self.gauges.insert(key, v);
-    }
-
-    /// Record one latency sample (and bump the key's op counter).
+    /// Record one latency sample. Samples before `t0` (warm-up) are
+    /// dropped before the key lookup, so they never create a key.
     pub fn observe(&mut self, key: MetricKey, at: SimTime, latency: SimTime) {
-        self.add(key.clone(), 1);
+        if at < self.t0 {
+            return;
+        }
         let (t0, width, cap) = (self.t0, self.width, self.cap);
         self.latencies
             .entry(key)
             .or_insert_with(|| SlidingWindows::new(t0, width, cap))
             .record(at, latency);
-    }
-
-    pub fn counter(&self, key: &MetricKey) -> u64 {
-        self.counters.get(key).copied().unwrap_or(0)
-    }
-
-    pub fn gauge(&self, key: &MetricKey) -> Option<f64> {
-        self.gauges.get(key).copied()
     }
 
     pub fn latency(&self, key: &MetricKey) -> Option<&SlidingWindows> {
@@ -219,12 +183,8 @@ impl MetricRegistry {
     }
 
     /// Distinct `(engine, op)` pairs with latency data, sorted.
-    pub fn ops(&self) -> Vec<(&str, &str)> {
-        let mut v: Vec<(&str, &str)> = self
-            .latencies
-            .keys()
-            .map(|k| (k.engine.as_str(), k.op.as_str()))
-            .collect();
+    pub fn ops(&self) -> Vec<(&'static str, &'static str)> {
+        let mut v: Vec<_> = self.latencies.keys().map(|k| (k.engine, k.op)).collect();
         v.dedup();
         v
     }
@@ -274,32 +234,6 @@ impl MetricRegistry {
         }
         m
     }
-
-    /// Materialize the classic post-hoc fold for `engine` over the first
-    /// `n` windows: a [`crate::WindowedLatencies`] keyed by `(op, shard)`
-    /// with tenants merged, bit-identical to having fed every sample to
-    /// the fold directly (requires `cap >= n` so no window was evicted).
-    pub fn to_windowed(&self, engine: &str, n: usize) -> crate::WindowedLatencies {
-        assert!(
-            n <= self.cap,
-            "registry retains {} windows, fold wants {n}",
-            self.cap
-        );
-        let mut wl = crate::WindowedLatencies::new(self.t0, self.width, n);
-        for (k, s) in &self.latencies {
-            if k.engine != engine {
-                continue;
-            }
-            for w in 0..n as u64 {
-                if let Some(h) = s.window(w) {
-                    if h.count() > 0 {
-                        wl.absorb(&k.op, k.shard, w as usize, h);
-                    }
-                }
-            }
-        }
-        wl
-    }
 }
 
 #[cfg(test)]
@@ -340,43 +274,16 @@ mod tests {
     }
 
     #[test]
-    fn registry_counters_gauges_and_keys_are_deterministic() {
-        let mut reg = MetricRegistry::new(0, secs(1.0), 4);
-        let k = |t| MetricKey::new("sqlcs", "read", Some(0), Some(t));
-        reg.inc(k(1));
-        reg.add(k(0), 3);
-        reg.set_gauge(MetricKey::new("sqlcs", "depth", None, None), 2.5);
-        reg.observe(k(0), secs(0.5), millis(5.0));
-        assert_eq!(reg.counter(&k(0)), 4); // 3 + the observe
-        assert_eq!(reg.counter(&k(1)), 1);
-        assert_eq!(
-            reg.gauge(&MetricKey::new("sqlcs", "depth", None, None)),
-            Some(2.5)
-        );
-        assert_eq!(reg.tenants("sqlcs", "read"), vec![0]);
+    fn registry_keys_are_sorted_and_warmup_creates_none() {
+        let mut reg = MetricRegistry::new(secs(1.0), secs(1.0), 4);
+        let k = |op, t| MetricKey::new("sqlcs", op, Some(0), Some(t));
+        reg.observe(k("update", 1), secs(0.5), millis(5.0)); // warm-up
+        reg.observe(k("read", 1), secs(1.5), millis(5.0));
+        reg.observe(k("read", 0), secs(2.5), millis(5.0));
+        assert_eq!(reg.tenants("sqlcs", "read"), vec![0, 1]);
         assert_eq!(reg.ops(), vec![("sqlcs", "read")]);
-    }
-
-    #[test]
-    fn to_windowed_matches_direct_fold() {
-        let mut reg = MetricRegistry::new(secs(1.0), secs(2.0), 4);
-        let mut wl = crate::WindowedLatencies::new(secs(1.0), secs(2.0), 4);
-        let stream = [
-            ("read", Some(0), 2, secs(1.2), millis(3.0)),
-            ("read", Some(1), 0, secs(2.8), millis(7.0)),
-            ("update", Some(0), 1, secs(4.4), millis(9.0)),
-            ("read", Some(0), 2, secs(6.0), millis(2.0)),
-            ("update", Some(1), 3, secs(8.9), millis(1.0)),
-        ];
-        for (op, shard, tenant, at, lat) in stream {
-            reg.observe(MetricKey::new("mongo", op, shard, Some(tenant)), at, lat);
-            wl.record(op, shard, at, lat);
-        }
-        let derived = reg.to_windowed("mongo", 4);
-        for op in ["read", "update"] {
-            for w in 0..4 {
-                assert_eq!(derived.merged(op, w), wl.merged(op, w), "{op} w{w}");
-            }
-        }
+        assert!(reg.latency(&k("update", 1)).is_none());
+        assert_eq!(reg.merged_window("sqlcs", "read", 0).count(), 1);
+        assert_eq!(reg.tenant_window("sqlcs", "read", Some(0), 1).count(), 1);
     }
 }

@@ -75,25 +75,6 @@ impl FeedbackCosts {
         trace: &Trace,
         net_depth_windows: &[f64],
     ) -> FeedbackCosts {
-        let mut depths = NetDepthAccum::new();
-        for &d in net_depth_windows {
-            depths.push(d);
-        }
-        FeedbackCosts::from_observation_streaming(reports, trace, &depths)
-    }
-
-    /// [`FeedbackCosts::from_observation`] for callers that never hold the
-    /// full window vector: the depth term arrives pre-accumulated through
-    /// a [`NetDepthAccum`] fed one window at a time (e.g. from a streaming
-    /// metric registry's per-window gauges as the run progresses). Feeding
-    /// the same windows in the same order yields bit-identical feedback —
-    /// the accumulator runs the exact left-to-right sum the slice path
-    /// ran (pinned by test).
-    pub fn from_observation_streaming(
-        reports: &[ResourceReport],
-        trace: &Trace,
-        depths: &NetDepthAccum,
-    ) -> FeedbackCosts {
         let inflation = |marker: &str| {
             let (mut service, mut wait) = (0.0f64, 0.0f64);
             for span in &trace.spans {
@@ -128,47 +109,17 @@ impl FeedbackCosts {
         } else {
             0.0
         };
+        // A left-to-right fold from +0.0 (`Sum for f64` starts at -0.0),
+        // so the committed feedback figures keep their exact bits.
+        let mean_depth = if net_depth_windows.is_empty() {
+            0.0
+        } else {
+            net_depth_windows.iter().fold(0.0, |sum, d| sum + d) / net_depth_windows.len() as f64
+        };
         FeedbackCosts {
             shuffle_inflation: inflation("shuffle:"),
             replicate_inflation: inflation("replicate:"),
-            net_wait_per_move_secs: depths.mean() * mean_service,
-        }
-    }
-}
-
-/// Running mean of per-window NIC queue depths, for feeding the feedback
-/// loop incrementally (window by window, as a streaming registry produces
-/// them) instead of materializing the whole window vector first. The sum
-/// is plain left-to-right f64 addition — the same order
-/// [`FeedbackCosts::from_observation`] uses over a slice — so both paths
-/// produce bit-identical feedback from the same windows.
-#[derive(Clone, Copy, Debug, Default, PartialEq)]
-pub struct NetDepthAccum {
-    sum: f64,
-    n: u64,
-}
-
-impl NetDepthAccum {
-    pub fn new() -> NetDepthAccum {
-        NetDepthAccum::default()
-    }
-
-    /// Feed one window's mean NIC queue depth.
-    pub fn push(&mut self, depth: f64) {
-        self.sum += depth;
-        self.n += 1;
-    }
-
-    pub fn count(&self) -> u64 {
-        self.n
-    }
-
-    /// Mean over the windows fed so far (0.0 before any).
-    pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.sum / self.n as f64
+            net_wait_per_move_secs: mean_depth * mean_service,
         }
     }
 }
@@ -260,41 +211,5 @@ mod tests {
     fn observation_without_movement_spans_falls_back_to_identity_rates() {
         let fb = FeedbackCosts::from_observation(&[], &Trace::default(), &[]);
         assert!(fb.is_none());
-    }
-
-    #[test]
-    fn streaming_accumulator_is_bit_identical_to_the_slice_path() {
-        let mut trace = Trace::default();
-        trace.push(span("q/shuffle:orders", 10.0, 3.0));
-        trace.push(span("q/replicate:nation", 20.0, 2.0));
-        let reports = vec![ResourceReport {
-            name: "node1.nic_recv".into(),
-            kind: Some(ResKind::Net),
-            busy_secs: 17.0,
-            completions: 7,
-            mean_queue_wait_secs: 0.0,
-            max_queue_depth: 3,
-            queued_at_end: 0,
-            pending_wait_secs: 0.0,
-        }];
-        // Awkward floats on purpose: any re-ordering of the sum would show.
-        let windows = [0.1, 0.7, 1.9, 2.30000001, 0.0, 5.5, 3.3333333];
-        let batch = FeedbackCosts::from_observation(&reports, &trace, &windows);
-        let mut acc = NetDepthAccum::new();
-        for &d in &windows {
-            acc.push(d);
-        }
-        let streamed = FeedbackCosts::from_observation_streaming(&reports, &trace, &acc);
-        assert_eq!(acc.count(), windows.len() as u64);
-        for (a, b) in [
-            (batch.shuffle_inflation, streamed.shuffle_inflation),
-            (batch.replicate_inflation, streamed.replicate_inflation),
-            (
-                batch.net_wait_per_move_secs,
-                streamed.net_wait_per_move_secs,
-            ),
-        ] {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
     }
 }

@@ -37,7 +37,7 @@ pub mod optimizer;
 pub use adaptive::{live_costs, AdaptiveTail, BlameVerdict};
 pub use catalog::{load_pdw, PdwCatalog, PdwLoadReport, PdwTable};
 pub use exec::{JoinDecision, PdwEngine, PdwQueryRun, StepReport};
-pub use feedback::{FeedbackCosts, NetDepthAccum};
+pub use feedback::FeedbackCosts;
 
 /// Number of hash distributions = nodes × distributions/node (128 in the
 /// paper's configuration).

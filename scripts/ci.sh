@@ -65,6 +65,13 @@ echo "== per-tenant SLO report (streaming registry + burn-rate artifact diff)"
 cargo run -q --release -p bench --bin slo_report > "$obs_tmp/slo_report_a.txt"
 diff -u results/slo_report_a.txt "$obs_tmp/slo_report_a.txt"
 
+echo "== windowed YCSB latency profile (registry render artifact diff)"
+# The windowed p50/p95/p99 tables and per-shard p95 spread are rendered
+# from the same registry, reading only the measurement windows: same
+# stream, same bytes.
+cargo run -q --release -p bench --bin profile_ycsb > "$obs_tmp/profile_ycsb_a.txt"
+diff -u results/profile_ycsb_a.txt "$obs_tmp/profile_ycsb_a.txt"
+
 echo "== obs overhead smoke (probe passivity at the kernel's own counters)"
 # bench_obs asserts probed == unprobed kernel event counts and simulated
 # times internally; the smoke run proves that holds on this tree, and the
