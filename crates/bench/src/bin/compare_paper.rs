@@ -63,14 +63,8 @@ const PAPER_PDW: [[f64; 4]; 22] = [
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let sim_scale = bench::arg_f64(&args, "--sf", 0.02);
-    let scale = bench::arg_f64(&args, "--scale", 250.0);
-    let scale_idx = match scale as u64 {
-        250 => 0,
-        1000 => 1,
-        4000 => 2,
-        16000 => 3,
-        other => panic!("paper scale factors are 250/1000/4000/16000, got {other}"),
-    };
+    let scale_idx = bench::arg_paper_scale(&args);
+    let scale = bench::PAPER_SCALES[scale_idx];
 
     let config = DssConfig {
         sim_scale,

@@ -23,11 +23,7 @@ fn main() {
     let trace_path = bench::arg_str(&args, "--trace");
     let timeline = bench::has_flag(&args, "--timeline");
     let observing = trace_path.is_some() || timeline;
-    let queries: Vec<usize> = args
-        .windows(2)
-        .find(|w| w[0] == "--queries")
-        .map(|w| w[1].split(',').filter_map(|s| s.parse().ok()).collect())
-        .unwrap_or_else(|| vec![1, 5, 19]);
+    let queries = bench::arg_queries(&args).unwrap_or_else(|| vec![1, 5, 19]);
 
     let cat = generate(&GenConfig::new(sf));
     let params = Params::paper_dss().scaled(paper / sf);

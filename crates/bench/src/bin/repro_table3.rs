@@ -8,28 +8,11 @@
 use elephants_core::dss::{paper_disk_capacity, run_dss, DssConfig, DssResults};
 use elephants_core::report::{fmt_ratio, fmt_secs, TableBuilder};
 
-fn parse_list(args: &[String], key: &str) -> Vec<f64> {
-    args.windows(2)
-        .find(|w| w[0] == key)
-        .map(|w| {
-            w[1].split(',')
-                .filter_map(|s| s.parse().ok())
-                .collect::<Vec<f64>>()
-        })
-        .unwrap_or_default()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let sim_scale = bench::arg_f64(&args, "--sf", 0.02);
-    let queries: Vec<usize> = parse_list(&args, "--queries")
-        .into_iter()
-        .map(|q| q as usize)
-        .collect();
-    let mut scales = parse_list(&args, "--scales");
-    if scales.is_empty() {
-        scales = vec![250.0, 1000.0, 4000.0, 16000.0];
-    }
+    let queries = bench::arg_queries(&args).unwrap_or_default();
+    let scales = bench::arg_list(&args, "--scales").unwrap_or_else(|| bench::PAPER_SCALES.to_vec());
 
     let config = DssConfig {
         sim_scale,

@@ -3,8 +3,6 @@
 //! fields). Layout per element: `type:u8, name:cstring, i32 len, bytes,
 //! NUL` (string elements only — all YCSB fields are strings).
 
-use bytes::{Buf, BufMut, BytesMut};
-
 /// One document: ordered (name, value) string pairs.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Doc {
@@ -24,14 +22,14 @@ impl Doc {
 
     /// Encode to BSON-ish bytes: `i32 total_len, elements..., 0x00`.
     pub fn encode(&self) -> Vec<u8> {
-        let mut body = BytesMut::new();
+        let mut body = Vec::new();
         for (name, value) in &self.fields {
-            body.put_u8(0x02); // string element
-            body.put_slice(name.as_bytes());
-            body.put_u8(0);
-            body.put_i32_le(value.len() as i32 + 1);
-            body.put_slice(value.as_bytes());
-            body.put_u8(0);
+            body.push(0x02); // string element
+            body.extend_from_slice(name.as_bytes());
+            body.push(0);
+            body.extend_from_slice(&(value.len() as i32 + 1).to_le_bytes());
+            body.extend_from_slice(value.as_bytes());
+            body.push(0);
         }
         let total = body.len() as i32 + 5;
         let mut out = Vec::with_capacity(total as usize);
@@ -44,24 +42,28 @@ impl Doc {
     /// Decode (panics on malformed input — documents are only produced by
     /// [`Doc::encode`] in this system).
     pub fn decode(data: &[u8]) -> Doc {
-        let mut buf = data;
-        let total = buf.get_i32_le() as usize;
-        assert_eq!(total, data.len(), "length prefix mismatch");
+        let (total, mut buf) = read_i32_le(data);
+        assert_eq!(total as usize, data.len(), "length prefix mismatch");
         let mut fields = Vec::new();
         while buf.len() > 1 {
-            let ty = buf.get_u8();
-            assert_eq!(ty, 0x02, "only string elements supported");
+            assert_eq!(buf[0], 0x02, "only string elements supported");
             let name_end = buf.iter().position(|&b| b == 0).expect("name NUL");
-            let name = String::from_utf8(buf[..name_end].to_vec()).expect("utf8 name");
-            buf.advance(name_end + 1);
-            let len = buf.get_i32_le() as usize;
-            let value = String::from_utf8(buf[..len - 1].to_vec()).expect("utf8 value");
-            buf.advance(len);
+            let name = String::from_utf8(buf[1..name_end].to_vec()).expect("utf8 name");
+            let (len, rest) = read_i32_le(&buf[name_end + 1..]);
+            let len = len as usize;
+            let value = String::from_utf8(rest[..len - 1].to_vec()).expect("utf8 value");
+            buf = &rest[len..];
             fields.push((name, value));
         }
-        assert_eq!(buf.get_u8(), 0, "trailing NUL");
+        assert_eq!(buf, [0], "trailing NUL");
         Doc { fields }
     }
+}
+
+/// Split a little-endian `i32` off the front of `buf`.
+fn read_i32_le(buf: &[u8]) -> (i32, &[u8]) {
+    let (head, rest) = buf.split_at(4);
+    (i32::from_le_bytes(head.try_into().expect("4 bytes")), rest)
 }
 
 #[cfg(test)]
