@@ -16,8 +16,6 @@
 //!     `scan_per_pop`, the calendar queue's bucket entries scanned per pop
 //!     (`Sim::queue_work`). Unlike the timings it is deterministic, and
 //!     `validate_bench` bounds it on the YCSB point.
-//!   * `fanout` — the parallel sweep runner over per-seed replicas
-//!     (serial vs parallel wall-clock; identical results asserted).
 //!
 //! `--smoke` shrinks every dimension for CI; `--iters N` sets the
 //! best-of-N repeat count (default 3).
@@ -25,7 +23,7 @@
 use std::rc::Rc;
 use std::time::Instant;
 
-use bench::{fanout, meta};
+use bench::meta;
 use cluster::{ClusterExec, Params};
 use docstore::{MongoCluster, Sharding};
 use elephants_core::serving::ServingConfig;
@@ -208,38 +206,6 @@ fn ycsb_point(measure_secs: f64, iters: usize) -> ((u64, QueueWork), f64) {
     })
 }
 
-/// Fan-out demo: the same per-seed timer replica sweep run serially and
-/// through the parallel runner; asserts the results are identical, so the
-/// artifact records measured proof that parallelism changes wall-clock
-/// only.
-fn fanout_section(jobs: usize, pending: u64, total: u64) -> (usize, usize, f64, f64) {
-    let make_jobs = || -> Vec<Box<dyn FnOnce() -> (u64, f64) + Send>> {
-        (0..jobs as u64)
-            .map(|seed| {
-                let f: Box<dyn FnOnce() -> (u64, f64) + Send> = Box::new(move || {
-                    // Vary the replica shape a little.
-                    run_timers(pending + seed, total)
-                });
-                f
-            })
-            .collect()
-    };
-    let threads = fanout::default_threads();
-    let t0 = Instant::now();
-    let serial = fanout::run_with_threads(make_jobs(), 1);
-    let serial_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let parallel = fanout::run_with_threads(make_jobs(), threads);
-    let parallel_secs = t0.elapsed().as_secs_f64();
-    let ev = |r: &[(u64, f64)]| -> Vec<u64> { r.iter().map(|(e, _)| *e).collect() };
-    assert_eq!(
-        ev(&serial),
-        ev(&parallel),
-        "fan-out must not change results"
-    );
-    (jobs, threads, serial_secs, parallel_secs)
-}
-
 fn print_workload(name: &str, note: &str, (events, secs): (u64, f64), last: bool) {
     let eps = events as f64 / secs;
     println!("    {{");
@@ -295,12 +261,6 @@ fn main() {
     };
     let ycsb = ycsb_point(if smoke { 2.0 } else { 30.0 }, iters);
 
-    let (fo_jobs, fo_threads, fo_serial, fo_parallel) = if smoke {
-        fanout_section(4, 1_024, 10_000)
-    } else {
-        fanout_section(8, 16_384, 200_000)
-    };
-
     // ---- JSON artifact --------------------------------------------------
     println!("{{");
     println!("  \"bench\": \"kernel\",");
@@ -341,12 +301,6 @@ fn main() {
     println!("  \"engine_points\": [");
     print_engine_point("pdw_q5_phase_replay", pdw, false);
     print_engine_point("ycsb_workload_a", ycsb, true);
-    println!("  ],");
-    println!("  \"fanout\": {{");
-    println!("    \"jobs\": {fo_jobs},");
-    println!("    \"threads\": {fo_threads},");
-    println!("    \"serial_secs\": {fo_serial:.4},");
-    println!("    \"parallel_secs\": {fo_parallel:.4}");
-    println!("  }}");
+    println!("  ]");
     println!("}}");
 }

@@ -22,7 +22,7 @@ use tpch::{generate, GenConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let q: usize = args.get(1).and_then(|s| s.parse().ok()).unwrap_or(5);
+    let q = bench::arg_query(&args);
     let sf = bench::arg_f64(&args, "--sf", 0.02);
     let paper = bench::arg_f64(&args, "--paper", 16000.0);
     let trace_path = bench::arg_str(&args, "--trace");

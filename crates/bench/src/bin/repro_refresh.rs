@@ -5,6 +5,7 @@
 //! neither; Hive 0.8 can run RF1 (INSERT INTO) but still not RF2.
 
 use cluster::Params;
+use elephants_core::dss::PAPER_SCALES;
 use elephants_core::report::TableBuilder;
 use hive::{load_warehouse, HiveEngine, HiveError};
 use pdw::load_pdw;
@@ -28,7 +29,7 @@ fn main() {
             "Hive RF2",
         ],
     );
-    for paper in [250.0, 1000.0, 4000.0, 16000.0] {
+    for paper in PAPER_SCALES {
         let params = Params::paper_dss().scaled(paper / sf);
         let cfg = GenConfig::new(sf);
         let rf = generate_refresh(&cfg, 0);

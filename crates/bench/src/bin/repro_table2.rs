@@ -2,6 +2,7 @@
 //! factors (paper: Hive 38/125/519/2512 min, PDW 79/313/1180/4712 min).
 
 use cluster::Params;
+use elephants_core::dss::PAPER_SCALES;
 use elephants_core::report::TableBuilder;
 use hive::load_warehouse;
 use pdw::load_pdw;
@@ -18,7 +19,7 @@ fn main() {
     );
     let mut hive_row = vec!["HIVE".to_string()];
     let mut pdw_row = vec!["PDW".to_string()];
-    for paper in [250.0, 1000.0, 4000.0, 16000.0] {
+    for paper in PAPER_SCALES {
         let params = Params::paper_dss().scaled(paper / sim_scale);
         let (_, hive_report) = load_warehouse(&cat, &params, None).expect("hive load");
         let (_, pdw_report) = load_pdw(&cat, &params);

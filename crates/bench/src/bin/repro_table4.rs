@@ -4,6 +4,7 @@
 //! 128 real ones.
 
 use cluster::Params;
+use elephants_core::dss::PAPER_SCALES;
 use elephants_core::report::TableBuilder;
 use hive::{load_warehouse, HiveEngine};
 use tpch::{generate, GenConfig};
@@ -18,7 +19,7 @@ fn main() {
         &["SF = 250 GB", "SF = 1 TB", "SF = 4 TB", "SF = 16 TB"],
     );
     let mut row = Vec::new();
-    for paper in [250.0, 1000.0, 4000.0, 16000.0] {
+    for paper in PAPER_SCALES {
         let params = Params::paper_dss().scaled(paper / sim_scale);
         let (w, _) = load_warehouse(&cat, &params, None).expect("load");
         let engine = HiveEngine::new(w);

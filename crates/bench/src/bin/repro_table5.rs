@@ -4,6 +4,7 @@
 //! ~400 s failed map-side join at every scale).
 
 use cluster::Params;
+use elephants_core::dss::PAPER_SCALES;
 use elephants_core::report::TableBuilder;
 use hive::{load_warehouse, HiveEngine};
 use tpch::{generate, GenConfig};
@@ -29,7 +30,7 @@ fn main() {
         vec!["Sub-query 3".into()],
         vec!["Sub-query 4".into()],
     ];
-    for paper in [250.0, 1000.0, 4000.0, 16000.0] {
+    for paper in PAPER_SCALES {
         let params = Params::paper_dss().scaled(paper / sim_scale);
         let (w, _) = load_warehouse(&cat, &params, None).expect("load");
         let engine = HiveEngine::new(w);

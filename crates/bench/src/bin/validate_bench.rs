@@ -137,14 +137,6 @@ fn check_body(root: &Json, out: &mut Vec<String>) {
                 }
                 _ => out.push("`engine_points` is not a non-empty array".into()),
             }
-            for p in [
-                "fanout.jobs",
-                "fanout.threads",
-                "fanout.serial_secs",
-                "fanout.parallel_secs",
-            ] {
-                need_num(root, p, out);
-            }
         }
         "scan_decode" => {
             need_str(root, "table", out);

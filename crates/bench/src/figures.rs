@@ -35,17 +35,6 @@ pub fn run_figure(
     out
 }
 
-/// The underlying table for custom rendering.
-pub fn run_figure_table(
-    title: &str,
-    workload: Workload,
-    targets: &[f64],
-    ops: &[OpType],
-    cfg: &ServingConfig,
-) -> TableBuilder {
-    figure_inner(title, workload, targets, ops, cfg, false).0
-}
-
 fn figure_inner(
     title: &str,
     workload: Workload,

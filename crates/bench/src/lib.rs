@@ -2,7 +2,7 @@
 
 #![forbid(unsafe_code)]
 
-pub mod fanout;
+pub mod dss;
 pub mod figures;
 pub mod meta;
 
@@ -36,24 +36,39 @@ fn parse_list<T: FromStr>(args: &[String], key: &str) -> Result<Option<Vec<T>>, 
         .map(Some)
 }
 
-/// `--queries` as TPC-H query numbers, each an integer in 1..=22.
-fn parse_queries(args: &[String]) -> Result<Option<Vec<usize>>, String> {
-    let queries = parse_list::<usize>(args, "--queries")?;
-    match queries.iter().flatten().find(|q| !(1..=22).contains(*q)) {
-        Some(q) => Err(format!("--queries: TPC-H has queries 1..=22, got {q}")),
-        None => Ok(queries),
+/// `q` as a TPC-H query number: an integer in 1..=22.
+fn tpch_query(what: &str, q: usize) -> Result<usize, String> {
+    if (1..=22).contains(&q) {
+        Ok(q)
+    } else {
+        Err(format!("{what}: TPC-H has queries 1..=22, got {q}"))
     }
 }
 
-/// `--scale` as an index into [`PAPER_SCALES`] (default 250 GB).
-fn parse_paper_scale(args: &[String]) -> Result<usize, String> {
-    let scale = parse_arg(args, "--scale")?.unwrap_or(PAPER_SCALES[0]);
-    PAPER_SCALES
-        .iter()
-        .position(|&s| s == scale)
-        .ok_or_else(|| {
-            format!("--scale: the paper's scales are 250/1000/4000/16000 GB, got {scale}")
-        })
+/// `--queries` as TPC-H query numbers.
+fn parse_queries(args: &[String]) -> Result<Option<Vec<usize>>, String> {
+    let Some(queries) = parse_list(args, "--queries")? else {
+        return Ok(None);
+    };
+    queries
+        .into_iter()
+        .map(|q| tpch_query("--queries", q))
+        .collect::<Result<_, _>>()
+        .map(Some)
+}
+
+/// The positional query of `explain 5 --sf 0.02`; absent (no first
+/// argument, or a flag in its place) means Q5.
+fn parse_query(args: &[String]) -> Result<usize, String> {
+    match args.get(1) {
+        Some(v) if !v.starts_with("--") => {
+            let q = v
+                .parse()
+                .map_err(|_| format!("query: cannot parse {v:?}"))?;
+            tpch_query("query", q)
+        }
+        _ => Ok(5),
+    }
 }
 
 /// A YCSB workload letter (`A`–`E`, either case); `None` means A.
@@ -100,13 +115,10 @@ pub fn arg_queries(args: &[String]) -> Option<Vec<usize>> {
     parse_queries(args).unwrap_or_else(|e| usage_error(e))
 }
 
-/// The paper's four TPC-H scale factors, in GB, in the order of its tables.
-pub const PAPER_SCALES: [f64; 4] = [250.0, 1000.0, 4000.0, 16000.0];
-
-/// `--scale GB` (default 250) as its index into [`PAPER_SCALES`]; any
-/// other value is a usage error (exit 2).
-pub fn arg_paper_scale(args: &[String]) -> usize {
-    parse_paper_scale(args).unwrap_or_else(|e| usage_error(e))
+/// The positional TPC-H query (`explain 9`), Q5 when absent; anything but
+/// an integer in 1..=22 is a usage error (exit 2).
+pub fn arg_query(args: &[String]) -> usize {
+    parse_query(args).unwrap_or_else(|e| usage_error(e))
 }
 
 /// `--workload X` (default A); an unknown letter is a usage error (exit 2).
@@ -189,15 +201,21 @@ mod tests {
     }
 
     #[test]
-    fn only_the_papers_four_scales_are_accepted() {
-        assert_eq!(parse_paper_scale(&args(&[])), Ok(0));
-        assert_eq!(parse_paper_scale(&args(&["--scale", "16000"])), Ok(3));
-        for bad in ["500", "250.5", "0"] {
-            assert!(parse_paper_scale(&args(&["--scale", bad]))
+    fn positional_query_is_strict_and_defaults_to_q5() {
+        assert_eq!(parse_query(&args(&["explain"])), Ok(5));
+        assert_eq!(parse_query(&args(&["explain", "--sf", "0.01"])), Ok(5));
+        assert_eq!(parse_query(&args(&["explain", "9", "--sf", "0.01"])), Ok(9));
+        assert_eq!(parse_query(&args(&["critpath", "22"])), Ok(22));
+        for bad in ["x", "1.5", "5,6", "-1"] {
+            assert!(parse_query(&args(&["explain", bad]))
                 .unwrap_err()
-                .contains("250/1000/4000/16000"));
+                .contains(&format!("{bad:?}")));
         }
-        assert!(parse_paper_scale(&args(&["--scale", "big"])).is_err());
+        for out_of_range in ["0", "23"] {
+            assert!(parse_query(&args(&["explain", out_of_range]))
+                .unwrap_err()
+                .contains("1..=22"));
+        }
     }
 
     #[test]

@@ -94,7 +94,6 @@ enum Work {
 #[derive(Clone, Debug)]
 pub struct Phase {
     name: String,
-    node: Option<usize>,
     setup: f64,
     work: Vec<Work>,
 }
@@ -103,7 +102,6 @@ impl Phase {
     pub fn new(name: impl Into<String>) -> Phase {
         Phase {
             name: name.into(),
-            node: None,
             setup: 0.0,
             work: Vec::new(),
         }
@@ -118,12 +116,6 @@ impl Phase {
     /// Fixed setup overhead in seconds.
     pub fn setup_secs(&self) -> f64 {
         self.setup
-    }
-
-    /// Pin the phase's span to one node (default: cluster-wide).
-    pub fn on_node(mut self, node: usize) -> Phase {
-        self.node = Some(node);
-        self
     }
 
     /// Fixed overhead paid before any work is issued (step startup,
@@ -619,7 +611,6 @@ fn advance_mix_job(
         return;
     };
     let name = format!("{}/{}", st.name, phase.name);
-    let node = phase.node;
     let setup = secs(phase.setup);
     let reqs = binder.resolve(&phase.work);
     let client = st.client;
@@ -628,7 +619,7 @@ fn advance_mix_job(
     sim.emit_probe(ProbeEvent::SpanOpened {
         at: t0,
         name: &name,
-        node,
+        node: None,
         id: sid,
     });
     let issue_at = t0.saturating_add(setup);
@@ -643,12 +634,12 @@ fn advance_mix_job(
             sim.emit_probe(ProbeEvent::SpanClosed {
                 at: end,
                 name: &name,
-                node,
+                node: None,
                 id: sid,
             });
             spans.borrow_mut().push(Span {
                 name,
-                node,
+                node: None,
                 start: t0,
                 end,
                 contribs: contribs.take(),
@@ -803,7 +794,7 @@ impl ClusterExec {
         self.sim.emit_probe(ProbeEvent::SpanOpened {
             at: t0,
             name: &phase.name,
-            node: phase.node,
+            node: None,
             id: sid,
         });
         let issue_at = t0.saturating_add(secs(phase.setup));
@@ -840,12 +831,12 @@ impl ClusterExec {
         self.sim.emit_probe(ProbeEvent::SpanClosed {
             at: end,
             name: &phase.name,
-            node: phase.node,
+            node: None,
             id: sid,
         });
         self.trace.push(Span {
             name: phase.name,
-            node: phase.node,
+            node: None,
             start: t0,
             end,
             contribs: contribs.take(),

@@ -126,15 +126,6 @@ impl Cluster {
             Box::new(move |sim, _| l2.count_down(sim)),
         );
     }
-
-    /// Total busy seconds across all disks of a node (diagnostics).
-    pub fn node_disk_busy<W: 'static>(&self, sim: &Sim<W>, node: NodeId) -> f64 {
-        self.nodes[node]
-            .disks
-            .iter()
-            .map(|&d| simkit::as_secs(sim.resource_busy_time(d)))
-            .sum()
-    }
 }
 
 #[cfg(test)]

@@ -6,7 +6,12 @@ use pdw::{load_pdw, PdwEngine};
 use relational::Catalog;
 use tpch::{generate, GenConfig};
 
-/// Configuration for one full Table 3-style run.
+/// The paper's four TPC-H scale factors, in GB, in the order of its tables.
+pub const PAPER_SCALES: [f64; 4] = [250.0, 1000.0, 4000.0, 16000.0];
+
+/// Configuration for one full Table 3-style run. Hive's HDFS space is
+/// always accounted at the paper's per-node capacity
+/// ([`paper_disk_capacity`]), which is what fails Q9 at 16 TB.
 #[derive(Clone, Debug)]
 pub struct DssConfig {
     /// Real generated scale factor (data volume actually held in memory).
@@ -15,20 +20,6 @@ pub struct DssConfig {
     pub paper_scales: Vec<f64>,
     /// Queries to run (1-based). Empty = all 22.
     pub queries: Vec<usize>,
-    /// Per-node disk capacity at paper scale (bytes) for the Q9 failure
-    /// injection; `None` disables space accounting.
-    pub disk_capacity_per_node: Option<u64>,
-}
-
-impl Default for DssConfig {
-    fn default() -> Self {
-        DssConfig {
-            sim_scale: 0.02,
-            paper_scales: vec![250.0, 1000.0, 4000.0, 16000.0],
-            queries: Vec::new(),
-            disk_capacity_per_node: None,
-        }
-    }
 }
 
 /// One query at one scale factor.
@@ -122,8 +113,9 @@ pub struct DssResults {
     pub runs: Vec<ScaleRun>,
 }
 
-/// Execute the suite. The four scale factors are independent simulations
-/// over the same generated data, so they run on separate threads.
+/// Execute the suite. The scale factors are independent simulations over
+/// the same generated data, so they run on [`crate::fanout`], which
+/// returns them in `paper_scales` order.
 pub fn run_dss(config: &DssConfig) -> DssResults {
     let catalog = generate(&GenConfig::new(config.sim_scale));
     let queries: Vec<usize> = if config.queries.is_empty() {
@@ -131,24 +123,17 @@ pub fn run_dss(config: &DssConfig) -> DssResults {
     } else {
         config.queries.clone()
     };
-    let runs = std::thread::scope(|scope| {
-        let handles: Vec<_> = config
-            .paper_scales
-            .iter()
-            .map(|&ps| {
-                let catalog = &catalog;
-                let queries = &queries;
-                scope.spawn(move || run_one_scale(config, catalog, queries, ps))
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("scale-factor worker panicked"))
-            .collect::<Vec<_>>()
-    });
+    let jobs: Vec<_> = config
+        .paper_scales
+        .iter()
+        .map(|&ps| {
+            let (catalog, queries) = (&catalog, &queries);
+            move || run_one_scale(config, catalog, queries, ps)
+        })
+        .collect();
     DssResults {
         config: config.clone(),
-        runs,
+        runs: crate::fanout::run(jobs),
     }
 }
 
@@ -160,9 +145,7 @@ fn run_one_scale(
 ) -> ScaleRun {
     let k = paper_scale / config.sim_scale;
     let params = Params::paper_dss().scaled(k);
-    let capacity = config
-        .disk_capacity_per_node
-        .map(|c| ((c as f64 / k).round() as u64).max(1));
+    let capacity = Some(((paper_disk_capacity() as f64 / k).round() as u64).max(1));
 
     let (warehouse, hive_load) =
         load_warehouse(catalog, &params, capacity).expect("base data fits on disk");
@@ -212,7 +195,6 @@ mod tests {
             sim_scale: 0.01,
             paper_scales: vec![250.0],
             queries: vec![1, 6],
-            disk_capacity_per_node: None,
         };
         let res = run_dss(&cfg);
         assert_eq!(res.runs.len(), 1);
@@ -232,7 +214,6 @@ mod tests {
             sim_scale: 0.01,
             paper_scales: vec![250.0, 16000.0],
             queries: vec![9],
-            disk_capacity_per_node: Some(paper_disk_capacity()),
         };
         let res = run_dss(&cfg);
         assert!(
@@ -245,5 +226,26 @@ mod tests {
         );
         // PDW finishes it everywhere.
         assert!(res.runs[1].cells[0].pdw_secs > 0.0);
+    }
+
+    #[test]
+    fn a_scale_does_not_depend_on_the_other_scales_in_the_run() {
+        // The calibration reports render single scales out of the full
+        // suite run, so a scale's cells must equal those of a run of that
+        // scale alone.
+        let run = |paper_scales: Vec<f64>| {
+            run_dss(&DssConfig {
+                sim_scale: 0.01,
+                paper_scales,
+                queries: vec![6, 9],
+            })
+        };
+        let alone = run(vec![16000.0]);
+        let paired = run(vec![250.0, 16000.0]);
+        assert_eq!(paired.runs[1].paper_scale, 16000.0);
+        assert_eq!(
+            format!("{:?}", alone.runs[0].cells),
+            format!("{:?}", paired.runs[1].cells)
+        );
     }
 }

@@ -7,8 +7,9 @@
 //! its own RNG streams, and shares nothing. [`run`] executes such a job
 //! list across OS threads and returns results **in job order**, so output
 //! bytes are identical whatever the thread count (including 1): parallelism
-//! changes wall-clock only, never results. `tests/scheduler_equivalence.rs`
-//! and the unit tests below hold that as an invariant.
+//! changes wall-clock only, never results. The unit tests below hold that
+//! as an invariant, and [`crate::dss::run_dss`] schedules its scale factors
+//! on it.
 //!
 //! Scheduling is a shared atomic cursor (work stealing by index): threads
 //! grab the next unstarted job, so a straggler job never serializes the
@@ -21,18 +22,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
-/// Number of worker threads [`run`] uses by default: one per available
-/// core. A sweep of `n` jobs never spawns more than `n` threads.
-pub fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
 /// Run every job, up to `threads` at a time, and return their results in
 /// job order. Panics in a job propagate (the sweep fails loudly rather
-/// than returning partial results).
-pub fn run_with_threads<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
+/// than returning partial results). A sweep of `n` jobs never spawns more
+/// than `n` threads.
+fn run_with_threads<T, F>(jobs: Vec<F>, threads: usize) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
@@ -73,13 +67,14 @@ where
         .collect()
 }
 
-/// [`run_with_threads`] with one worker per available core.
+/// Run every job, one worker per available core, and return their results
+/// in job order; see `run_with_threads`.
 pub fn run<T, F>(jobs: Vec<F>) -> Vec<T>
 where
     T: Send,
     F: FnOnce() -> T + Send,
 {
-    let threads = default_threads();
+    let threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     run_with_threads(jobs, threads)
 }
 

@@ -218,17 +218,6 @@ pub fn run_point_profiled(
     (point, obs.reg)
 }
 
-/// Sweep a workload over targets for every system.
-pub fn sweep(cfg: &ServingConfig, workload: Workload, targets: &[f64]) -> Vec<SweepPoint> {
-    let mut out = Vec::new();
-    for system in SystemKind::all() {
-        for &t in targets {
-            out.push(run_point(cfg, system, workload, t));
-        }
-    }
-    out
-}
-
 /// §3.4.2 load times at paper scale (minutes).
 pub fn load_times_minutes(cfg: &ServingConfig) -> Vec<(&'static str, f64)> {
     let p = cfg.params();

@@ -1,7 +1,7 @@
 //! Data loading: dbgen text → HDFS copy → RCFile conversion (the two-phase
 //! pipeline of §3.3.3, timed for Table 2).
 
-use crate::meta::{HiveFile, HiveTableMeta, HiveWarehouse};
+use crate::meta::HiveWarehouse;
 use cluster::Params;
 use dfs::{Dfs, DfsConfig, DfsError};
 use relational::Catalog;
@@ -90,40 +90,6 @@ pub fn load_warehouse_fmt(
 
     report.total_secs = report.copy_secs + report.convert_secs;
     Ok((warehouse, report))
-}
-
-/// Store raw text files (the external-table staging step), used by the
-/// ablation that benchmarks text-format scans.
-pub fn load_text_table(
-    warehouse: &mut HiveWarehouse,
-    name: &str,
-    catalog: &Catalog,
-    files: usize,
-) -> Result<(), DfsError> {
-    let table = catalog.get(name);
-    let chunk = table.rows.len().div_ceil(files.max(1));
-    let mut paths = Vec::new();
-    for (i, rows) in table.rows.chunks(chunk.max(1)).enumerate() {
-        let bytes = storage::text::encode(rows);
-        let path = format!("/staging/{name}/{i:05}");
-        warehouse
-            .dfs
-            .create(&path, bytes.len() as u64, HiveFile::Text(bytes))?;
-        paths.push(path);
-    }
-    warehouse.tables.insert(
-        format!("{name}_text"),
-        HiveTableMeta {
-            schema: table.schema.clone(),
-            layout: tpch::layout::HiveLayout {
-                partition_col: None,
-                buckets: None,
-            },
-            files: paths,
-            n_rows: table.rows.len() as u64,
-        },
-    );
-    Ok(())
 }
 
 #[cfg(test)]

@@ -20,16 +20,6 @@ pub enum HiveFile {
     Col(ColBlockFile),
 }
 
-impl HiveFile {
-    pub fn byte_len(&self) -> u64 {
-        match self {
-            HiveFile::Rc(f) => f.compressed_size(),
-            HiveFile::Text(t) => t.len() as u64,
-            HiveFile::Col(f) => f.compressed_size(),
-        }
-    }
-}
-
 /// Metastore entry for one table.
 #[derive(Clone, Debug)]
 pub struct HiveTableMeta {
@@ -188,14 +178,6 @@ impl HiveWarehouse {
         }
     }
 
-    /// The colblock file behind a path.
-    pub fn colfile(&self, path: &str) -> &ColBlockFile {
-        match self.dfs.payload(path).expect("file exists") {
-            HiveFile::Col(f) => f,
-            _ => panic!("{path} is not a colblock file"),
-        }
-    }
-
     /// Partition pruning: files surviving an (optional) partition-value
     /// restriction. `keep` receives each partition directory value.
     pub fn pruned_files(&self, name: &str, keep: impl Fn(&str) -> bool) -> Vec<String> {
@@ -209,11 +191,6 @@ impl HiveWarehouse {
             .cloned()
             .collect()
     }
-}
-
-/// Total row width helper used for volume estimates.
-pub fn rows_bytes(rows: &[Row]) -> u64 {
-    rows.iter().map(|r| relational::value::row_bytes(r)).sum()
 }
 
 #[cfg(test)]

@@ -165,13 +165,6 @@ impl TimelineProbe {
         }
     }
 
-    /// Override the bucket-count cap (tests; coarse exports).
-    pub fn with_max_buckets(mut self, max: usize) -> TimelineProbe {
-        assert!(max >= 2);
-        self.max_buckets = max;
-        self
-    }
-
     /// Current bucket width in nanoseconds (may exceed the constructor
     /// width if the run was long enough to trigger rebucketing).
     pub fn bucket_width(&self) -> SimTime {

@@ -276,9 +276,6 @@ pub fn lit_i64(v: i64) -> Expr {
 pub fn lit_f64(v: f64) -> Expr {
     Expr::Lit(Value::F64(v))
 }
-pub fn lit_dec(v: f64) -> Expr {
-    Expr::Lit(Value::decimal(v))
-}
 pub fn lit_str(s: &str) -> Expr {
     Expr::Lit(Value::str(s))
 }

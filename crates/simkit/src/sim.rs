@@ -127,12 +127,6 @@ impl<W: 'static> Sim<W> {
         }
     }
 
-    /// Whether a probe is attached (lets callers skip building event data).
-    #[inline]
-    pub fn has_probe(&self) -> bool {
-        self.probe.is_some()
-    }
-
     /// Set the span context stamped onto requests issued from now on (the
     /// span↔resource linkage carried by [`ProbeEvent::Enqueued`] and
     /// friends). Returns the previous context so callers can nest scopes.

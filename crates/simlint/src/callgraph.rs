@@ -453,10 +453,6 @@ impl CallGraph {
         &self.edges[id]
     }
 
-    pub fn edge_count(&self) -> usize {
-        self.edges.iter().map(Vec::len).sum()
-    }
-
     /// Reverse-BFS reachability: `reach[n]` is true when some call chain
     /// from `n` hits a sink using only non-trusted, non-test hops after
     /// `n`; `next[n]` is the hop to follow for chain reconstruction.

@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 
 echo "== artifact manifest (EXPERIMENTS.md matrix rows == results/ files)"
 # Read once, first: a manifest that disagrees with results/ fails in seconds.
-rows=$(scripts/artifacts.sh)
+units=$(scripts/artifacts.sh)
 
 echo "== cargo fmt --check"
 cargo fmt --all -- --check
@@ -52,16 +52,18 @@ echo "== artifacts (every results/*.txt regenerates byte-identical)"
 # The regeneration matrix in EXPERIMENTS.md is the artifact list. A .txt
 # artifact is deterministic end to end, so regenerating it must reproduce
 # the committed bytes. A .json artifact is a host-timed BENCH file,
-# schema-gated below instead.
+# schema-gated below instead. Each unit runs once, whatever its file count.
 drift=()
-while IFS=$'\t' read -r file cmd; do
-  [[ $file == *.txt ]] || continue
-  echo "-- $file"
+while IFS=$'\t' read -r files cmd; do
+  [[ $files == *.txt ]] || continue
+  echo "-- $files"
   # $cmd is the bin and its args; word splitting is intended.
   # shellcheck disable=SC2086
-  cargo run -q --release -p bench --bin $cmd > "$tmp/$file" </dev/null
-  diff -u "results/$file" "$tmp/$file" || drift+=("$file")
-done <<<"$rows"
+  scripts/run_unit.sh "$tmp" "$files" $cmd
+  for file in $files; do
+    diff -u "results/$file" "$tmp/$file" || drift+=("$file")
+  done
+done <<<"$units"
 if [ ${#drift[@]} -gt 0 ]; then
   echo "artifact drift: ${drift[*]}" >&2
   exit 1

@@ -1,7 +1,7 @@
 //! End-to-end failure reproduction: the three failures the paper reports.
 
 use elephants::cluster::Params;
-use elephants::core::dss::{paper_disk_capacity, run_dss, DssConfig};
+use elephants::core::dss::{run_dss, DssConfig};
 use elephants::core::serving::{run_point, ServingConfig, SystemKind};
 use elephants::docstore::{MongoCluster, Sharding};
 use elephants::hive::{load_warehouse, HiveEngine};
@@ -17,7 +17,6 @@ fn q9_is_the_only_disk_space_casualty() {
         sim_scale: 0.01,
         paper_scales: vec![4000.0, 16000.0],
         queries: vec![7, 9, 21], // the other intermediate-heavy queries
-        disk_capacity_per_node: Some(paper_disk_capacity()),
     };
     let res = run_dss(&cfg);
     let at = |scale: usize, q: usize| {
