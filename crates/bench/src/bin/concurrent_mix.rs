@@ -146,7 +146,7 @@ fn main() {
     let cat = generate(&GenConfig::new(sf));
     let params = Params::paper_dss().scaled(paper / sf);
     let (pdwcat, _) = load_pdw(&cat, &params);
-    let lineitem_bytes = pdwcat.table("lineitem").data_bytes();
+    let lineitem_bytes = pdwcat.table_bytes("lineitem");
     let engine = PdwEngine::new(pdwcat);
 
     let mut rng = StdRng::seed_from_u64(seed);

@@ -41,7 +41,11 @@ pub fn machine_json(indent: &str) -> String {
 /// `iters` is the measurement repeat count and `timing` names the
 /// aggregation policy applied over those repeats (the repo convention is
 /// `"best_of_n_wall_clock"`: report the minimum, the least-noisy
-/// estimator of the code's true cost on a quiet machine).
+/// estimator of the code's true cost on a quiet machine). A bench that
+/// reports a ratio of two timings uses
+/// `"median_of_n_alternating_wall_clock"` instead: the two sides alternate
+/// in every round and each reports its median, so a noisy stretch of the
+/// host lands on both sides rather than on one.
 pub fn config_json(indent: &str, iters: usize, timing: &str) -> String {
     format!(
         "{indent}\"config\": {{\n\

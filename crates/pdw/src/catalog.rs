@@ -35,6 +35,8 @@ impl PdwTable {
         }
     }
 
+    /// Bytes of every row, by a fresh walk. [`PdwCatalog::table_bytes`]
+    /// keeps this count without the walk.
     pub fn data_bytes(&self) -> u64 {
         match self {
             PdwTable::Hash { parts, .. } => parts
@@ -50,7 +52,13 @@ impl PdwTable {
 /// The PDW database.
 pub struct PdwCatalog {
     /// `BTreeMap` so any catalog enumeration is in sorted table order.
-    pub tables: BTreeMap<String, PdwTable>,
+    /// Private: [`PdwCatalog::refresh_insert`] and
+    /// [`PdwCatalog::refresh_delete`] are the only mutators, and they keep
+    /// `bytes` in step with the rows.
+    tables: BTreeMap<String, PdwTable>,
+    /// [`PdwTable::data_bytes`] of every table, counted when the rows
+    /// change rather than on every scan.
+    bytes: BTreeMap<String, u64>,
     pub params: Params,
     pub distributions: usize,
     /// Columnar-format shadow of every table: one colblock file per hash
@@ -65,6 +73,36 @@ impl PdwCatalog {
         self.tables
             .get(name)
             .unwrap_or_else(|| panic!("no PDW table `{name}`"))
+    }
+
+    /// One table's [`PdwTable::data_bytes`], from the count kept at load
+    /// and refresh time.
+    pub fn table_bytes(&self, name: &str) -> u64 {
+        *self
+            .bytes
+            .get(name)
+            .unwrap_or_else(|| panic!("no PDW table `{name}`"))
+    }
+
+    /// The base data's bytes over every table.
+    pub fn total_bytes(&self) -> u64 {
+        self.bytes.values().sum()
+    }
+
+    fn table_mut(&mut self, name: &str) -> &mut PdwTable {
+        self.tables
+            .get_mut(name)
+            .unwrap_or_else(|| panic!("no PDW table `{name}`"))
+    }
+
+    /// Count a table's bytes again after its rows changed, and rebuild its
+    /// colblock shadow if it has one.
+    fn rows_changed(&mut self, name: &str) {
+        let bytes = self.table(name).data_bytes();
+        self.bytes.insert(name.to_string(), bytes);
+        if self.col_files.contains_key(name) {
+            self.rebuild_colblock(name);
+        }
     }
 
     /// Materialize the columnar shadow copies (the colblock ablation's
@@ -105,11 +143,7 @@ impl PdwCatalog {
     pub fn refresh_insert(&mut self, name: &str, rows: Vec<Row>) -> f64 {
         let bytes: u64 = rows.iter().map(|r| row_bytes(r)).sum();
         let d = self.distributions;
-        let t = self
-            .tables
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no PDW table `{name}`"));
-        match t {
+        match self.table_mut(name) {
             PdwTable::Hash { col, parts, .. } => {
                 let routed = ops::hash_partition(rows, &[*col], d);
                 for (p, new) in parts.iter_mut().zip(routed) {
@@ -118,9 +152,7 @@ impl PdwCatalog {
             }
             PdwTable::Replicated { rows: all, .. } => all.extend(rows),
         }
-        if self.col_files.contains_key(name) {
-            self.rebuild_colblock(name);
-        }
+        self.rows_changed(name);
         bytes as f64 / self.params.pdw_load_bw_per_node + self.params.pdw_step_overhead
     }
 
@@ -135,25 +167,14 @@ impl PdwCatalog {
         keys: &std::collections::HashSet<i64>,
     ) -> f64 {
         let p = self.params.clone();
-        let t = self
-            .tables
-            .get_mut(name)
-            .unwrap_or_else(|| panic!("no PDW table `{name}`"));
-        let total_bytes = match &*t {
-            PdwTable::Hash { parts, .. } => parts
-                .iter()
-                .flat_map(|x| x.iter())
-                .map(|r| row_bytes(r))
-                .sum::<u64>(),
-            PdwTable::Replicated { rows, .. } => rows.iter().map(|r| row_bytes(r)).sum::<u64>(),
-        };
+        let total_bytes = self.table_bytes(name);
         let matches = |r: &Row| {
             r[key_col]
                 .as_i64()
                 .map(|k| keys.contains(&k))
                 .unwrap_or(false)
         };
-        match t {
+        match self.table_mut(name) {
             PdwTable::Hash { parts, .. } => {
                 for p in parts.iter_mut() {
                     p.retain(|r| !matches(r));
@@ -161,9 +182,7 @@ impl PdwCatalog {
             }
             PdwTable::Replicated { rows, .. } => rows.retain(|r| !matches(r)),
         }
-        if self.col_files.contains_key(name) {
-            self.rebuild_colblock(name);
-        }
+        self.rows_changed(name);
         // Full scan across the distributions to find the victims.
         total_bytes as f64 / (p.nodes as f64 * p.pdw_scan_bw_per_node) + p.pdw_step_overhead
     }
@@ -188,11 +207,15 @@ pub struct PdwLoadReport {
 pub fn load_pdw(catalog: &Catalog, params: &Params) -> (PdwCatalog, PdwLoadReport) {
     let distributions = params.total_distributions() as usize;
     let mut tables = BTreeMap::new();
+    let mut bytes = BTreeMap::new();
     let mut report = PdwLoadReport::default();
 
     for name in tpch::schema::TABLE_NAMES {
         let table = catalog.get(name);
-        report.text_bytes += table.byte_size();
+        // The same rows, so the same sum as `PdwTable::data_bytes`.
+        let table_bytes = table.byte_size();
+        report.text_bytes += table_bytes;
+        bytes.insert(name.to_string(), table_bytes);
         let layout = layout_of(name).pdw;
         let t = match layout.distribution_col {
             Some(col) => {
@@ -218,6 +241,7 @@ pub fn load_pdw(catalog: &Catalog, params: &Params) -> (PdwCatalog, PdwLoadRepor
     (
         PdwCatalog {
             tables,
+            bytes,
             params: params.clone(),
             distributions,
             col_files: BTreeMap::new(),
@@ -267,6 +291,40 @@ mod tests {
         } else {
             panic!("lineitem should be hash distributed");
         }
+    }
+
+    /// The cached counts must equal a fresh walk of the rows: a stale
+    /// count would shift `hot_fraction` and so every later scan's cost.
+    fn assert_bytes_fresh(pdw: &PdwCatalog, when: &str) {
+        let mut total = 0;
+        for (name, t) in &pdw.tables {
+            let walk = t.data_bytes();
+            assert_eq!(pdw.table_bytes(name), walk, "{when}: `{name}`");
+            total += walk;
+        }
+        assert_eq!(pdw.total_bytes(), total, "{when}: total");
+    }
+
+    #[test]
+    fn cached_bytes_track_load_and_refresh() {
+        let cat = generate(&GenConfig::new(0.01));
+        let params = Params::paper_dss().scaled(25_000.0);
+        let (mut pdw, _) = load_pdw(&cat, &params);
+        assert_bytes_fresh(&pdw, "after load_pdw");
+
+        // One hash-distributed and one replicated table each way.
+        let (li, na) = (pdw.table_bytes("lineitem"), pdw.table_bytes("nation"));
+        pdw.refresh_insert("lineitem", cat.get("lineitem").rows[..100].to_vec());
+        pdw.refresh_insert("nation", cat.get("nation").rows[..3].to_vec());
+        assert!(pdw.table_bytes("lineitem") > li && pdw.table_bytes("nation") > na);
+        assert_bytes_fresh(&pdw, "after refresh_insert");
+
+        let (li, na) = (pdw.table_bytes("lineitem"), pdw.table_bytes("nation"));
+        let keys = (0..50).collect();
+        pdw.refresh_delete("lineitem", 0, &keys);
+        pdw.refresh_delete("nation", 0, &keys);
+        assert!(pdw.table_bytes("lineitem") < li && pdw.table_bytes("nation") < na);
+        assert_bytes_fresh(&pdw, "after refresh_delete");
     }
 
     #[test]

@@ -19,10 +19,11 @@ use cluster::{ClusterExec, Params, Phase};
 use relational::batch;
 use relational::expr::{Bounds, Expr};
 use relational::value::row_bytes;
-use relational::{ops, AggCall, JoinKind, LogicalPlan, Row, SortKey};
+use relational::{ops, AggCall, JoinKind, LogicalPlan, Row, SortKey, Value};
 use simkit::probe::Probe;
 use simkit::resource::ResourceReport;
 use simkit::trace::Trace;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
@@ -136,6 +137,20 @@ enum Dist {
     Arbitrary,
 }
 
+impl Dist {
+    /// The distribution after a projection to `exprs`: a hash key survives
+    /// only as a bare column reference.
+    fn after_project<'e>(self, mut exprs: impl Iterator<Item = &'e Expr>) -> Dist {
+        match self {
+            Dist::Hash(c) => exprs
+                .position(|e| matches!(e, Expr::Col(i) if *i == c))
+                .map(Dist::Hash)
+                .unwrap_or(Dist::Arbitrary),
+            d => d,
+        }
+    }
+}
+
 /// A partitioned intermediate. `Replicated` relations keep a single copy in
 /// `parts[0]`.
 #[derive(Clone)]
@@ -158,12 +173,34 @@ impl PRel {
             .sum()
     }
 
-    fn all_rows(&self) -> Vec<Row> {
+    /// Every row, partition after partition, moved out of the relation.
+    fn all_rows(self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.n_rows());
-        for p in &self.parts {
-            out.extend(p.iter().cloned());
+        for p in self.parts {
+            out.extend(p);
         }
         out
+    }
+
+    /// The relation after a DMS shuffle on column `col`: every row moved to
+    /// its hash distribution.
+    fn shuffled(self, col: usize, distributions: usize) -> PRel {
+        let width = self.width;
+        PRel {
+            parts: ops::hash_partition(self.all_rows(), &[col], distributions),
+            dist: Dist::Hash(col),
+            width,
+        }
+    }
+
+    /// The relation after a DMS replicate: one full copy.
+    fn replicated(self) -> PRel {
+        let width = self.width;
+        PRel {
+            parts: vec![self.all_rows()],
+            dist: Dist::Replicated,
+            width,
+        }
     }
 }
 
@@ -269,6 +306,7 @@ impl PdwEngine {
             colblock: self.colblock,
             feedback: self.feedback.unwrap_or_else(FeedbackCosts::none),
             materialized: BTreeMap::new(),
+            uses_left: count_uses(&plan),
             decisions: Vec::new(),
             scan_stats: ScanStats::default(),
         };
@@ -323,7 +361,10 @@ struct Ctx<'a> {
     /// ([`FeedbackCosts::none`] = bitwise identity with closed forms).
     feedback: FeedbackCosts,
     /// Materialized (CREATE TABLE AS) subplans, computed once and reused.
+    /// Held only while a later use remains; the last use takes the rows.
     materialized: BTreeMap<String, PRel>,
+    /// Uses still to come of each materialized label (see [`count_uses`]).
+    uses_left: BTreeMap<String, usize>,
     /// Movement decision log, one entry per costed join.
     decisions: Vec<JoinDecision>,
     /// Accumulated block-pruning totals over every colblock scan.
@@ -350,7 +391,7 @@ impl<'a> Ctx<'a> {
     fn hot_fraction(&self) -> f64 {
         let p = self.p();
         let pool = p.bufpool_bytes() as f64 * p.nodes as f64;
-        let data: u64 = self.cat.tables.values().map(|t| t.data_bytes()).sum();
+        let data = self.cat.total_bytes();
         (pool / (data.max(1) as f64)).min(1.0)
     }
 
@@ -497,14 +538,7 @@ impl<'a> Ctx<'a> {
                 for p in &mut rel.parts {
                     *p = ops::project(p, exprs);
                 }
-                rel.dist = match rel.dist {
-                    Dist::Hash(c) => exprs
-                        .iter()
-                        .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                        .map(Dist::Hash)
-                        .unwrap_or(Dist::Arbitrary),
-                    d => d,
-                };
+                rel.dist = rel.dist.after_project(exprs.iter().map(|(e, _)| e));
                 rel.width = exprs.len();
                 rel
             }
@@ -536,11 +570,23 @@ impl<'a> Ctx<'a> {
                 rel
             }
             LogicalPlan::Materialize { input, label } => {
-                if let Some(cached) = self.materialized.get(label) {
-                    return cached.clone();
+                // Uses of this label still to come after this one.
+                let later = self.uses_left.get_mut(label).map_or(0, |n| {
+                    *n = n.saturating_sub(1);
+                    *n
+                });
+                let cached = if later == 0 {
+                    self.materialized.remove(label)
+                } else {
+                    self.materialized.get(label).cloned()
+                };
+                if let Some(rel) = cached {
+                    return rel;
                 }
                 let rel = self.exec(input);
-                self.materialized.insert(label.clone(), rel.clone());
+                if later > 0 {
+                    self.materialized.insert(label.clone(), rel.clone());
+                }
                 rel
             }
             LogicalPlan::Scan { .. } => unreachable!("handled by try_scan_chain"),
@@ -572,37 +618,24 @@ impl<'a> Ctx<'a> {
         }
         let t = self.cat.table(&table);
         let base_rows = t.n_rows();
-        let base_bytes = t.data_bytes();
-        let (mut parts, mut dist, mut width) = match t {
-            PdwTable::Hash { col, parts, schema } => {
-                (parts.clone(), Dist::Hash(*col), schema.len())
-            }
-            PdwTable::Replicated { rows, schema } => {
-                (vec![rows.clone()], Dist::Replicated, schema.len())
-            }
+        let base_bytes = self.cat.table_bytes(&table);
+        let stack: Vec<&LogicalPlan> = ops_rev.iter().rev().copied().collect();
+        let (parts, mut dist, mut width) = match t {
+            PdwTable::Hash { col, parts, schema } => (
+                parts.iter().map(|p| scan_part(p, &stack)).collect(),
+                Dist::Hash(*col),
+                schema.len(),
+            ),
+            PdwTable::Replicated { rows, schema } => (
+                vec![scan_part(rows, &stack)],
+                Dist::Replicated,
+                schema.len(),
+            ),
         };
-        for op in ops_rev.iter().rev() {
-            match op {
-                LogicalPlan::Filter { pred, .. } => {
-                    for p in &mut parts {
-                        p.retain(|r| pred.matches(r));
-                    }
-                }
-                LogicalPlan::Project { exprs, .. } => {
-                    for p in &mut parts {
-                        *p = ops::project(p, exprs);
-                    }
-                    dist = match dist {
-                        Dist::Hash(c) => exprs
-                            .iter()
-                            .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                            .map(Dist::Hash)
-                            .unwrap_or(Dist::Arbitrary),
-                        d => d,
-                    };
-                    width = exprs.len();
-                }
-                _ => unreachable!(),
+        for op in &stack {
+            if let LogicalPlan::Project { exprs, .. } = op {
+                dist = dist.after_project(exprs.iter().map(|(e, _)| e));
+                width = exprs.len();
             }
         }
         let out_rows: usize = parts.iter().map(Vec::len).sum();
@@ -708,14 +741,7 @@ impl<'a> Ctx<'a> {
                                 None => e.clone(),
                             })
                             .collect();
-                        dist = match dist {
-                            Dist::Hash(c) => mapped
-                                .iter()
-                                .position(|e| matches!(e, Expr::Col(i) if *i == c))
-                                .map(Dist::Hash)
-                                .unwrap_or(Dist::Arbitrary),
-                            d => d,
-                        };
+                        dist = dist.after_project(mapped.iter());
                         width = exprs.len();
                         level_map = None;
                     }
@@ -808,6 +834,8 @@ impl<'a> Ctx<'a> {
             }
         }
         let rels: Vec<PRel> = leaves.iter().map(|l| self.exec(l)).collect();
+        // Leaves do not change until joined: count their bytes once.
+        let leaf_bytes: Vec<u64> = rels.iter().map(PRel::bytes).collect();
 
         let n = rels.len();
         let mut remaining: BTreeSet<usize> = (0..n).collect();
@@ -816,7 +844,7 @@ impl<'a> Ctx<'a> {
             .iter()
             .copied()
             .filter(|&i| chain.preds.iter().any(|p| p.left.0 == i || p.right.0 == i))
-            .min_by_key(|&i| rels[i].bytes())
+            .min_by_key(|&i| leaf_bytes[i])
             .unwrap_or(0);
         remaining.remove(&start);
 
@@ -831,6 +859,7 @@ impl<'a> Ctx<'a> {
             // Candidates joined to the current result by some predicate.
             let joined_leaves: BTreeSet<usize> = layout.iter().map(|&(l, _)| l).collect();
             let mut best: Option<(usize, f64)> = None;
+            let cur_bytes = current.bytes();
             for &cand in &remaining {
                 let connected = chain.preds.iter().any(|p| {
                     (p.left.0 == cand && joined_leaves.contains(&p.right.0))
@@ -861,8 +890,8 @@ impl<'a> Ctx<'a> {
                 let ndv_cand = ndv(&r.parts, cand_col);
                 let ndv_cur = ndv(&current.parts, cur_pos);
                 let est_rows = est_join_rows(current.n_rows(), r.n_rows(), ndv_cur, ndv_cand);
-                let move_bytes = r.bytes().min(current.bytes()) as f64;
-                let avg_w = (row_avg(&current) + row_avg(r)) as f64;
+                let move_bytes = leaf_bytes[cand].min(cur_bytes) as f64;
+                let avg_w = (row_avg(cur_bytes, &current) + row_avg(leaf_bytes[cand], r)) as f64;
                 let score = move_bytes + est_rows * avg_w;
                 if best.is_none_or(|(_, s)| score < s) {
                     best = Some((cand, score));
@@ -927,29 +956,31 @@ impl<'a> Ctx<'a> {
             "every residual must attach by the end of the chain"
         );
 
-        // Restore the original column order.
-        let perm: Vec<(Expr, String)> = (0..n)
+        // Restore the original column order: output column i is the
+        // current column `perm[i]`. A permutation, so every value moves.
+        let perm: Vec<usize> = (0..n)
             .flat_map(|leaf| (0..chain.widths[leaf]).map(move |c| (leaf, c)))
             .map(|lc| {
-                let pos = layout
+                layout
                     .iter()
                     .position(|&x| x == lc)
-                    .expect("column present");
-                (Expr::Col(pos), format!("c{pos}"))
+                    .expect("column present")
             })
             .collect();
         let dist = match current.dist {
-            Dist::Hash(c) => {
-                let lc = layout[c];
-                perm.iter()
-                    .position(|(e, _)| matches!(e, Expr::Col(i) if layout[*i] == lc))
-                    .map(Dist::Hash)
-                    .unwrap_or(Dist::Arbitrary)
-            }
+            Dist::Hash(c) => perm
+                .iter()
+                .position(|&pos| pos == c)
+                .map(Dist::Hash)
+                .unwrap_or(Dist::Arbitrary),
             d => d,
         };
-        for p in &mut current.parts {
-            *p = ops::project(p, &perm);
+        for row in current.parts.iter_mut().flatten() {
+            let mut old = std::mem::take(row);
+            *row = perm
+                .iter()
+                .map(|&pos| std::mem::replace(&mut old[pos], Value::Null))
+                .collect();
         }
         current.width = perm.len();
         current.dist = dist;
@@ -1098,48 +1129,24 @@ impl<'a> Ctx<'a> {
             Move::None => {}
             Move::ShuffleL(lc, _) => {
                 self.charge_shuffle(name, lb);
-                l = PRel {
-                    parts: ops::hash_partition(l.all_rows(), &[lc], d),
-                    dist: Dist::Hash(lc),
-                    width: l.width,
-                };
+                l = l.shuffled(lc, d);
             }
             Move::ShuffleR(_, rc) => {
                 self.charge_shuffle(name, rb);
-                r = PRel {
-                    parts: ops::hash_partition(r.all_rows(), &[rc], d),
-                    dist: Dist::Hash(rc),
-                    width: r.width,
-                };
+                r = r.shuffled(rc, d);
             }
             Move::ReplicateR => {
                 self.charge_replicate(name, rb);
-                r = PRel {
-                    parts: vec![r.all_rows()],
-                    dist: Dist::Replicated,
-                    width: r.width,
-                };
+                r = r.replicated();
             }
             Move::ReplicateL => {
                 self.charge_replicate(name, lb);
-                l = PRel {
-                    parts: vec![l.all_rows()],
-                    dist: Dist::Replicated,
-                    width: l.width,
-                };
+                l = l.replicated();
             }
             Move::ShuffleBoth(lc, rc) => {
                 self.charge_shuffle(name, lb + rb);
-                l = PRel {
-                    parts: ops::hash_partition(l.all_rows(), &[lc], d),
-                    dist: Dist::Hash(lc),
-                    width: l.width,
-                };
-                r = PRel {
-                    parts: ops::hash_partition(r.all_rows(), &[rc], d),
-                    dist: Dist::Hash(rc),
-                    width: r.width,
-                };
+                l = l.shuffled(lc, d);
+                r = r.shuffled(rc, d);
             }
         }
 
@@ -1165,10 +1172,12 @@ impl<'a> Ctx<'a> {
                 (parts, dist)
             }
             (_, Dist::Replicated) => {
+                // One build of the replicated side serves every partition.
+                let table = ops::JoinTable::build(&r.parts[0], &on);
                 let parts = l
                     .parts
                     .iter()
-                    .map(|lp| ops::hash_join(lp, &r.parts[0], &on, kind, residual, rw))
+                    .map(|lp| table.probe(lp, kind, residual, rw))
                     .collect();
                 (parts, l.dist)
             }
@@ -1278,11 +1287,11 @@ impl<'a> Ctx<'a> {
 
     fn exec_sort(&mut self, rel: PRel, keys: &[SortKey], limit: Option<usize>) -> PRel {
         self.charge_gather("order-by", rel.bytes());
+        let width = rel.width;
         let mut rows = ops::sort(rel.all_rows(), keys);
         if let Some(n) = limit {
             rows.truncate(n);
         }
-        let width = rel.width;
         PRel {
             parts: vec![rows],
             dist: Dist::Replicated,
@@ -1291,9 +1300,63 @@ impl<'a> Ctx<'a> {
     }
 }
 
-fn row_avg(r: &PRel) -> u64 {
-    let n = r.n_rows().max(1) as u64;
-    r.bytes() / n
+/// Run a scan chain's Filter/Project stack (bottom-up) over one base
+/// partition in a single pass. A row stays borrowed until a projection
+/// builds a new one, so only the surviving rows, or their projected values,
+/// are ever copied.
+fn scan_part(rows: &[Row], stack: &[&LogicalPlan]) -> Vec<Row> {
+    let mut out = Vec::new();
+    'rows: for row in rows {
+        let mut cur = Cow::Borrowed(row);
+        for op in stack {
+            match op {
+                LogicalPlan::Filter { pred, .. } => {
+                    if !pred.matches(&cur) {
+                        continue 'rows;
+                    }
+                }
+                LogicalPlan::Project { exprs, .. } => {
+                    cur = Cow::Owned(exprs.iter().map(|(e, _)| e.eval(&cur)).collect());
+                }
+                _ => unreachable!("scan chains hold only Filter and Project"),
+            }
+        }
+        out.push(cur.into_owned());
+    }
+    out
+}
+
+/// How often each materialized label occurs in the plan. Every plan node
+/// runs at most once, so this bounds the label's uses from above: the
+/// cache may keep a copy that is never asked for again, but never drops
+/// one that is.
+fn count_uses(plan: &LogicalPlan) -> BTreeMap<String, usize> {
+    fn walk(plan: &LogicalPlan, out: &mut BTreeMap<String, usize>) {
+        match plan {
+            LogicalPlan::Scan { .. } => {}
+            LogicalPlan::Materialize { input, label } => {
+                *out.entry(label.clone()).or_default() += 1;
+                walk(input, out);
+            }
+            LogicalPlan::Filter { input, .. }
+            | LogicalPlan::Project { input, .. }
+            | LogicalPlan::Aggregate { input, .. }
+            | LogicalPlan::Sort { input, .. }
+            | LogicalPlan::Limit { input, .. } => walk(input, out),
+            LogicalPlan::Join { left, right, .. } => {
+                walk(left, out);
+                walk(right, out);
+            }
+        }
+    }
+    let mut out = BTreeMap::new();
+    walk(plan, &mut out);
+    out
+}
+
+/// Mean bytes per row of `r`, given its byte count.
+fn row_avg(bytes: u64, r: &PRel) -> u64 {
+    bytes / r.n_rows().max(1) as u64
 }
 
 #[cfg(test)]

@@ -34,7 +34,8 @@ fn key_of(row: &[Value], cols: &[usize]) -> Vec<Value> {
 /// join. `residual` is evaluated over the concatenated `[left ++ right]` row
 /// (for all kinds, including semi/anti, where it sees the candidate match).
 ///
-/// NULL join keys never match (SQL semantics).
+/// NULL join keys never match (SQL semantics). The same as
+/// [`JoinTable::build`] on `right` followed by one [`JoinTable::probe`].
 pub fn hash_join(
     left: &[Row],
     right: &[Row],
@@ -43,75 +44,110 @@ pub fn hash_join(
     residual: Option<&Expr>,
     right_width: usize,
 ) -> Vec<Row> {
-    if on.is_empty() {
-        return cross_join(left, right, kind, residual, right_width);
-    }
-    let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-    let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+    JoinTable::build(right, on).probe(left, kind, residual, right_width)
+}
 
-    // simlint: allow(no-unordered-iter) — build side is probe-only (`get`), output order is driven by the `left` scan
-    let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-    for (i, r) in right.iter().enumerate() {
-        let k = key_of(r, &rcols);
-        if k.iter().any(Value::is_null) {
-            continue;
-        }
-        table.entry(k).or_default().push(i);
-    }
+/// The build side of a [`hash_join`], built once and probed any number of
+/// times: a replicated build side joined against every partition of a
+/// distributed probe side needs one table, not one per partition. Probing
+/// the chunks of any split of `left` in order and concatenating the outputs
+/// gives exactly `hash_join` over the whole of `left`.
+pub struct JoinTable<'a> {
+    right: &'a [Row],
+    lcols: Vec<usize>,
+    /// Right-row indices by key; NULL keys are left out. Empty for a
+    /// cross join (empty `on`).
+    // simlint: allow(no-unordered-iter) — probe-only (`get`), output order is driven by the probe side
+    table: HashMap<Vec<Value>, Vec<usize>>,
+}
 
-    let mut out = Vec::new();
-    let mut scratch: Row = Vec::new();
-    for l in left {
-        let k = key_of(l, &lcols);
-        let matches = if k.iter().any(Value::is_null) {
-            None
-        } else {
-            table.get(&k)
-        };
-        let mut any = false;
-        if let Some(idxs) = matches {
-            for &ri in idxs {
-                let r = &right[ri];
-                let ok = match residual {
-                    Some(pred) => {
-                        scratch.clear();
-                        scratch.extend(l.iter().cloned());
-                        scratch.extend(r.iter().cloned());
-                        pred.matches(&scratch)
-                    }
-                    None => true,
-                };
-                if !ok {
+impl<'a> JoinTable<'a> {
+    pub fn build(right: &'a [Row], on: &[(usize, usize)]) -> JoinTable<'a> {
+        let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
+        let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        // simlint: allow(no-unordered-iter) — probe-only build side (see the field)
+        let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
+        if !on.is_empty() {
+            for (i, r) in right.iter().enumerate() {
+                let k = key_of(r, &rcols);
+                if k.iter().any(Value::is_null) {
                     continue;
                 }
-                any = true;
-                match kind {
-                    JoinKind::Inner | JoinKind::Left => {
-                        let mut row = l.clone();
-                        row.extend(r.iter().cloned());
-                        out.push(row);
-                    }
-                    JoinKind::LeftSemi => {
-                        out.push(l.clone());
-                        break;
-                    }
-                    JoinKind::LeftAnti => break,
-                }
+                table.entry(k).or_default().push(i);
             }
         }
-        if !any {
-            match kind {
-                JoinKind::Left => {
-                    let mut row = l.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, right_width));
-                    out.push(row);
-                }
-                JoinKind::LeftAnti => out.push(l.clone()),
-                _ => {}
-            }
+        JoinTable {
+            right,
+            lcols,
+            table,
         }
     }
-    out
+
+    /// Join `left` against the built side (see [`hash_join`]).
+    pub fn probe(
+        &self,
+        left: &[Row],
+        kind: JoinKind,
+        residual: Option<&Expr>,
+        right_width: usize,
+    ) -> Vec<Row> {
+        if self.lcols.is_empty() {
+            return cross_join(left, self.right, kind, residual, right_width);
+        }
+        let mut out = Vec::new();
+        let mut scratch: Row = Vec::new();
+        for l in left {
+            let k = key_of(l, &self.lcols);
+            let matches = if k.iter().any(Value::is_null) {
+                None
+            } else {
+                self.table.get(&k)
+            };
+            let mut any = false;
+            if let Some(idxs) = matches {
+                for &ri in idxs {
+                    let r = &self.right[ri];
+                    let ok = match residual {
+                        Some(pred) => {
+                            scratch.clear();
+                            scratch.extend(l.iter().cloned());
+                            scratch.extend(r.iter().cloned());
+                            pred.matches(&scratch)
+                        }
+                        None => true,
+                    };
+                    if !ok {
+                        continue;
+                    }
+                    any = true;
+                    match kind {
+                        JoinKind::Inner | JoinKind::Left => {
+                            let mut row = l.clone();
+                            row.extend(r.iter().cloned());
+                            out.push(row);
+                        }
+                        JoinKind::LeftSemi => {
+                            out.push(l.clone());
+                            break;
+                        }
+                        JoinKind::LeftAnti => break,
+                    }
+                }
+            }
+            if !any {
+                match kind {
+                    JoinKind::Left => {
+                        let mut row = l.clone();
+                        row.extend(std::iter::repeat_n(Value::Null, right_width));
+                        out.push(row);
+                    }
+                    JoinKind::LeftAnti => out.push(l.clone()),
+                    _ => {}
+                }
+            }
+        }
+        out
+    }
 }
 
 fn cross_join(
@@ -441,6 +477,7 @@ fn fnv_value(h: &mut u64, v: &Value) {
 mod tests {
     use super::*;
     use crate::expr::{col, lit_i64};
+    use proptest::prelude::*;
 
     fn rows(data: &[&[i64]]) -> Vec<Row> {
         data.iter()
@@ -514,6 +551,50 @@ mod tests {
             2,
         );
         assert_eq!(out, rows(&[&[1, 5, 1, 9]]));
+    }
+
+    /// `[key, value]` with key 0 drawn as NULL and few distinct keys, so
+    /// the build side holds duplicate keys and both sides hold NULLs.
+    fn arb_keyed_row() -> impl Strategy<Value = Row> {
+        (0i64..6, 0i64..10).prop_map(|(k, v)| {
+            let key = if k == 0 { Value::Null } else { Value::I64(k) };
+            vec![key, Value::I64(v)]
+        })
+    }
+
+    proptest! {
+        /// Building once and probing each chunk of any split of `left`, in
+        /// order, gives `hash_join` over the whole of `left` row for row:
+        /// a built table carries no state from one probe to the next.
+        #[test]
+        fn join_table_probed_by_chunks_equals_hash_join(
+            left in proptest::collection::vec(arb_keyed_row(), 0..40),
+            right in proptest::collection::vec(arb_keyed_row(), 0..20),
+            cuts in proptest::collection::vec(0usize..40, 0..5),
+            with_residual in any::<bool>(),
+            cross in any::<bool>(),
+        ) {
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(left.len())).collect();
+            bounds.extend([0, left.len()]);
+            bounds.sort_unstable();
+            // The right row's value must exceed the left row's.
+            let res = col(3).gt(col(1));
+            let residual = with_residual.then_some(&res);
+            let on: &[(usize, usize)] = if cross { &[] } else { &[(0, 0)] };
+            let table = JoinTable::build(&right, on);
+            for kind in [
+                JoinKind::Inner,
+                JoinKind::Left,
+                JoinKind::LeftSemi,
+                JoinKind::LeftAnti,
+            ] {
+                let chunked: Vec<Row> = bounds
+                    .windows(2)
+                    .flat_map(|w| table.probe(&left[w[0]..w[1]], kind, residual, 2))
+                    .collect();
+                prop_assert_eq!(chunked, hash_join(&left, &right, on, kind, residual, 2));
+            }
+        }
     }
 
     #[test]

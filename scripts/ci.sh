@@ -52,7 +52,9 @@ echo "== artifacts (every results/*.txt regenerates byte-identical)"
 # The regeneration matrix in EXPERIMENTS.md is the artifact list. A .txt
 # artifact is deterministic end to end, so regenerating it must reproduce
 # the committed bytes. A .json artifact is a host-timed BENCH file,
-# schema-gated below instead. Each unit runs once, whatever its file count.
+# schema-gated below instead. Each unit runs once, whatever its file count,
+# and run_unit.sh prints its wall seconds: this log is the per-artifact
+# timing record.
 drift=()
 while IFS=$'\t' read -r files cmd; do
   [[ $files == *.txt ]] || continue

@@ -7,9 +7,11 @@
 # BIN and ARGS go to `cargo run --release -p bench --bin`. A unit with
 # several files prints their parts in the listed order, separated by lines
 # that hold only a form feed; part i is written to OUT_DIR/FILE_i. Fails
-# unless the number of parts equals the number of files.
+# unless the number of parts equals the number of files. Prints the unit's
+# wall seconds when it is done, so every regeneration loop times its units.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+start=$EPOCHREALTIME
 
 out_dir=$1
 files=$2
@@ -40,3 +42,8 @@ awk -v dir="$tmp/parts" -v files="$files" -v cmd="$*" '
 for f in "${outs[@]}"; do
   mv "$tmp/parts/$f" "$out_dir/$f"
 done
+
+# Microseconds from $EPOCHREALTIME (always six decimals) in bash integer
+# arithmetic: the host has no bc.
+us=$((${EPOCHREALTIME/[.,]/} - ${start/[.,]/}))
+printf -- '-- %d.%03d s  %s\n' $((us / 1000000)) $((us % 1000000 / 1000)) "$files"
