@@ -101,7 +101,7 @@ impl HiveEngine {
         table: &str,
         rows: Vec<relational::Row>,
     ) -> Result<f64, HiveError> {
-        use crate::meta::{HiveFile, HiveVersion, StorageFormat};
+        use crate::meta::{HiveVersion, StorageFormat};
         if self.warehouse.version == HiveVersion::V0_7 {
             return Err(HiveError::Unsupported(
                 "INSERT INTO existing tables (needs Hive >= 0.8)".to_string(),
@@ -131,57 +131,16 @@ impl HiveEngine {
             }
             let path = format!("/warehouse/{table}/all/insert-{b:05}-{stamp}");
             stamp += 1;
-            match self.warehouse.format {
-                StorageFormat::RcFile => {
-                    let rc = storage::rcfile::RcFile::write(
-                        &bucket_rows,
-                        &schema,
-                        storage::rcfile::DEFAULT_ROW_GROUP,
-                    );
-                    let len = rc.compressed_size();
-                    total_bytes += len;
-                    self.warehouse
-                        .dfs
-                        .create(&path, len, HiveFile::Rc(rc))
-                        .map_err(|e| match e {
-                            dfs::DfsError::OutOfSpace { node } => HiveError::OutOfDisk {
-                                node,
-                                job: "insert".to_string(),
-                            },
-                            other => HiveError::Unsupported(other.to_string()),
-                        })?;
-                }
-                StorageFormat::Text => {
-                    let text = storage::text::encode(&bucket_rows);
-                    let len = text.len() as u64;
-                    total_bytes += len;
-                    self.warehouse
-                        .dfs
-                        .create(&path, len, HiveFile::Text(text))
-                        .map_err(|e| HiveError::Unsupported(e.to_string()))?;
-                }
-                StorageFormat::ColBlock => {
-                    // Inserted files get the same cluster sort as the base
-                    // files so their block stats stay prunable.
-                    let mut bucket_rows = bucket_rows;
-                    if let Some(cc) =
-                        tpch::layout::colblock_cluster_col(table).and_then(|c| schema.index_of(c))
-                    {
-                        bucket_rows.sort_by(|a, z| a[cc].cmp(&z[cc]));
-                    }
-                    let cb = storage::colblock::ColBlockFile::write(
-                        &bucket_rows,
-                        &schema,
-                        storage::colblock::DEFAULT_ROWS_PER_BLOCK,
-                    );
-                    let len = cb.compressed_size();
-                    total_bytes += len;
-                    self.warehouse
-                        .dfs
-                        .create(&path, len, HiveFile::Col(cb))
-                        .map_err(|e| HiveError::Unsupported(e.to_string()))?;
-                }
-            }
+            total_bytes += self
+                .warehouse
+                .store_file(&path, table, &schema, bucket_rows)
+                .map_err(|e| match e {
+                    dfs::DfsError::OutOfSpace { node } => HiveError::OutOfDisk {
+                        node,
+                        job: "insert".to_string(),
+                    },
+                    other => HiveError::Unsupported(other.to_string()),
+                })?;
             new_files.push(path);
         }
         let meta = self.warehouse.tables.get_mut(table).expect("table exists");
@@ -330,6 +289,27 @@ mod tests {
             run.scan_stats
         );
         assert!(run.scan_stats.blocks_pruned < run.scan_stats.blocks_total);
+    }
+
+    #[test]
+    fn insert_into_a_full_text_warehouse_is_out_of_disk() {
+        use crate::meta::{HiveVersion, StorageFormat};
+        let cfg = GenConfig::new(0.01);
+        let cat = generate(&cfg);
+        let params = Params::paper_dss().scaled(25_000.0);
+        let (mut w, _) =
+            crate::load::load_warehouse_fmt(&cat, &params, None, StorageFormat::Text).unwrap();
+        w.version = HiveVersion::V0_8;
+        // No node has room for another byte.
+        let full = (0..params.nodes).map(|n| w.dfs.used_bytes(n)).min();
+        w.dfs.config.capacity_per_node = full;
+        let mut engine = HiveEngine::new(w);
+        let rf = tpch::refresh::generate_refresh(&cfg, 0);
+        let err = engine.refresh_insert("orders", rf.orders).unwrap_err();
+        assert!(
+            matches!(&err, HiveError::OutOfDisk { job, .. } if job == "insert"),
+            "a full disk is out of disk, not unsupported: {err}"
+        );
     }
 
     #[test]

@@ -8,15 +8,16 @@
 //! intermediate results are never re-bucketed, so downstream joins lose the
 //! bucketed-map-join opportunity — the paper's §3.3.4.3 point (3).
 
-use crate::meta::HiveWarehouse;
+use crate::meta::{HiveFile, HiveWarehouse};
 use cluster::exec::{ClusterExec, Phase};
 use cluster::{Params, ScanFormat};
 use mapreduce::{run_job_on, JobReport, JobSpec, MapTaskSpec, ReduceTaskSpec};
-use relational::batch;
-use relational::expr::{Bounds, Expr};
+use relational::expr::Expr;
+use relational::scan::{col_after_project, ScanChain};
 use relational::value::row_bytes;
 use relational::{ops, AggCall, JoinKind, LogicalPlan, Row, SortKey};
-use std::collections::{BTreeMap, BTreeSet};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use storage::ScanStats;
 
 /// Map outputs are LZO-compressed (§3.2.1): effective size factor.
@@ -253,12 +254,9 @@ impl<'a> Lowering<'a> {
                 }
                 // Bucketing survives only if the bucket column is projected
                 // as a bare column reference.
-                s.bucketing = s.bucketing.and_then(|(c, n)| {
-                    exprs
-                        .iter()
-                        .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                        .map(|pos| (pos, n))
-                });
+                s.bucketing = s
+                    .bucketing
+                    .and_then(|(c, n)| col_after_project(c, exprs).map(|pos| (pos, n)));
                 s.width = exprs.len();
                 Ok(s)
             }
@@ -334,86 +332,22 @@ impl<'a> Lowering<'a> {
     // ---- scan stage -------------------------------------------------------
 
     fn lower_scan(&mut self, chain: ScanChain<'_>) -> Staged {
-        let meta = self.w.table(chain.table);
+        let w = self.w;
+        let meta = w.table(chain.table);
         let base_schema = &meta.schema;
-        // Which base columns does the op stack touch?
-        let mut needed: BTreeSet<usize> = BTreeSet::new();
-        let mut base_level = true;
-        for op in &chain.ops {
-            if !base_level {
-                break;
-            }
-            match op {
-                ScanOp::Filter(p) => p.referenced_cols(&mut needed),
-                ScanOp::Project(exprs) => {
-                    for (e, _) in *exprs {
-                        e.referenced_cols(&mut needed);
-                    }
-                    base_level = false;
-                }
-            }
-        }
-        if chain.ops.iter().all(|o| matches!(o, ScanOp::Filter(_))) {
-            // No projection: all columns flow through.
-            needed = (0..base_schema.len()).collect();
-        }
-        let cols: Vec<usize> = needed.iter().copied().collect();
-        let remap: BTreeMap<usize, usize> = cols
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new))
-            .collect();
+        let read = chain.column_read(base_schema.len());
 
         // Partition pruning from base-level equality filters.
-        let keep_part = chain.partition_filter(base_schema, meta.layout.partition_col);
-        let files = self
-            .w
-            .pruned_files(chain.table, |p| keep_part.as_ref().is_none_or(|f| f(p)));
-
-        // Bucket column tracking through the op stack.
-        let mut bucket_pos: Option<usize> = meta.layout.buckets.and_then(|(c, _)| {
-            let base_idx = base_schema.col(c);
-            remap.get(&base_idx).copied()
+        let keep_parts: Option<Vec<String>> = meta.layout.partition_col.and_then(|c| {
+            let pcol = base_schema.col(c);
+            chain.base_filters().find_map(|p| prune_values(p, pcol))
+        });
+        let files = w.pruned_files(chain.table, |part| {
+            keep_parts
+                .as_ref()
+                .is_none_or(|keep| keep.iter().any(|v| v == part))
         });
 
-        // Per-column interval restrictions implied by the filter stack, in
-        // base-schema indices — colblock files check each block's min/max
-        // stats against these and skip blocks that cannot contain a match
-        // (RCFile/text have no stats and ignore them). Filters above a
-        // bare-column projection still contribute: their columns map back
-        // to base indices through the projection.
-        let mut bounds: BTreeMap<usize, Bounds> = BTreeMap::new();
-        let mut bounds_map: Option<Vec<usize>> = Some((0..base_schema.len()).collect());
-        for op in &chain.ops {
-            match op {
-                ScanOp::Project(exprs) => {
-                    bounds_map = bounds_map.and_then(|map| {
-                        exprs
-                            .iter()
-                            .map(|(e, _)| match e {
-                                Expr::Col(i) => map.get(*i).copied(),
-                                _ => None,
-                            })
-                            .collect()
-                    });
-                }
-                ScanOp::Filter(p) => {
-                    if let Some(map) = &bounds_map {
-                        for (c, b) in p.column_bounds() {
-                            if let Some(&base) = map.get(c) {
-                                let merged = match bounds.remove(&base) {
-                                    Some(prev) => prev.intersect(b),
-                                    None => b,
-                                };
-                                bounds.insert(base, merged);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-
-        let w = self.w;
         let mut segments = Vec::with_capacity(files.len());
         for path in &files {
             let dfs_meta = w.dfs.meta(path).expect("file registered");
@@ -421,111 +355,37 @@ impl<'a> Lowering<'a> {
             // read is split; task count uses the stored file's block count.
             let blocks = dfs_meta.blocks.len().max(1);
             let node = dfs_meta.blocks[0].replicas[0];
-            if let crate::meta::HiveFile::Col(cb) = w.dfs.payload(path).expect("file registered") {
-                // Columnar path: decode only the surviving blocks of the
-                // needed columns, then run the op stack vectorized — the
-                // row-at-a-time loop below never sees these files.
-                let (mut b, stats) = cb.read_pruned(&cols, &bounds);
-                let mut level_map = Some(&remap);
-                let mut cur_bucket = bucket_pos;
-                for op in &chain.ops {
-                    match op {
-                        ScanOp::Filter(p) => {
-                            let p2 = match level_map {
-                                Some(m) => p.remap_cols(m),
-                                None => (*p).clone(),
-                            };
-                            b = batch::filter(&b, &p2);
-                        }
-                        ScanOp::Project(exprs) => {
-                            let mapped: Vec<(Expr, String)> = exprs
-                                .iter()
-                                .map(|(e, n)| {
-                                    (
-                                        match level_map {
-                                            Some(m) => e.remap_cols(m),
-                                            None => e.clone(),
-                                        },
-                                        n.clone(),
-                                    )
-                                })
-                                .collect();
-                            b = batch::project(&b, &mapped);
-                            cur_bucket = cur_bucket.and_then(|c| {
-                                mapped
-                                    .iter()
-                                    .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                            });
-                            level_map = None;
-                        }
-                    }
+            // Decode per stored format: colblock decodes only the surviving
+            // blocks of the needed columns and runs the chain vectorized;
+            // RCFile reads only the needed columns (but pays the decompress
+            // CPU); text decodes whole rows at the cheap scan rate.
+            let (rows, read_bytes, decode_bw) = match w.dfs.payload(path).expect("file registered")
+            {
+                HiveFile::Col(cb) => {
+                    let (b, stats) = cb.read_pruned(&read.cols, &read.bounds);
+                    self.scan_stats.merge(&stats);
+                    (
+                        read.chain.run_batch(b).to_rows(),
+                        stats.bytes_read,
+                        w.params.format_cost(ScanFormat::ColBlock).decode_bw,
+                    )
                 }
-                bucket_pos = cur_bucket;
-                self.scan_stats.merge(&stats);
-                segments.push(Seg {
-                    rows: b.to_rows(),
-                    read_bytes: stats.bytes_read,
-                    node,
-                    blocks,
-                    decode_bw: self.params().format_cost(ScanFormat::ColBlock).decode_bw,
-                });
-                continue;
-            }
-            // Decode per stored format: RCFile reads only the projected
-            // columns (but pays the decompress CPU); text reads everything
-            // at the cheap scan rate.
-            let (mut rows, read_bytes, decode_bw) =
-                match self.w.dfs.payload(path).expect("file registered") {
-                    crate::meta::HiveFile::Rc(rc) => (
-                        rc.read_columns(&cols),
-                        rc.compressed_size_of(&cols),
-                        self.params().rcfile_decode_bw,
+                HiveFile::Rc(rc) => (
+                    read.chain
+                        .run_rows(rc.read_columns(&read.cols).into_iter().map(Cow::Owned)),
+                    rc.compressed_size_of(&read.cols),
+                    w.params.rcfile_decode_bw,
+                ),
+                HiveFile::Text(bytes) => (
+                    chain.run_rows(
+                        storage::text::decode(bytes, base_schema)
+                            .into_iter()
+                            .map(Cow::Owned),
                     ),
-                    crate::meta::HiveFile::Text(bytes) => {
-                        let full = storage::text::decode(bytes, base_schema);
-                        let projected: Vec<Row> = full
-                            .iter()
-                            .map(|r| cols.iter().map(|&c| r[c].clone()).collect())
-                            .collect();
-                        (projected, bytes.len() as u64, self.params().text_scan_bw)
-                    }
-                    crate::meta::HiveFile::Col(_) => unreachable!("handled above"),
-                };
-            let mut level_map = Some(&remap);
-            let mut cur_bucket = bucket_pos;
-            for op in &chain.ops {
-                match op {
-                    ScanOp::Filter(p) => {
-                        let p2 = match level_map {
-                            Some(m) => p.remap_cols(m),
-                            None => (*p).clone(),
-                        };
-                        rows.retain(|r| p2.matches(r));
-                    }
-                    ScanOp::Project(exprs) => {
-                        let mapped: Vec<(Expr, String)> = exprs
-                            .iter()
-                            .map(|(e, n)| {
-                                (
-                                    match level_map {
-                                        Some(m) => e.remap_cols(m),
-                                        None => e.clone(),
-                                    },
-                                    n.clone(),
-                                )
-                            })
-                            .collect();
-                        rows = ops::project(&rows, &mapped);
-                        cur_bucket = cur_bucket.and_then(|c| {
-                            mapped
-                                .iter()
-                                .position(|(e, _)| matches!(e, Expr::Col(i) if *i == c))
-                        });
-                        level_map = None;
-                    }
-                }
-            }
-            bucket_pos = cur_bucket;
+                    bytes.len() as u64,
+                    w.params.text_scan_bw,
+                ),
+            };
             segments.push(Seg {
                 rows,
                 read_bytes,
@@ -534,32 +394,18 @@ impl<'a> Lowering<'a> {
                 decode_bw,
             });
         }
-        let width = if chain.ops.iter().any(|o| matches!(o, ScanOp::Project(_))) {
-            segments
-                .first()
-                .and_then(|s| s.rows.first().map(|r| r.len()))
-                .unwrap_or_else(|| {
-                    // Empty result: width from the last projection.
-                    chain
-                        .ops
-                        .iter()
-                        .rev()
-                        .find_map(|o| match o {
-                            ScanOp::Project(e) => Some(e.len()),
-                            _ => None,
-                        })
-                        .unwrap_or(cols.len())
-                })
-        } else {
-            base_schema.len()
-        };
         let fixed_size = tpch::layout::paper_layouts()
             .iter()
             .any(|l| l.table == chain.table && l.pdw.distribution_col.is_none());
         Staged {
             segments,
-            width,
-            bucketing: bucket_pos.map(|c| (c, meta.layout.buckets.map(|(_, n)| n).unwrap_or(1))),
+            width: chain.width(base_schema.len()),
+            // Bucketing survives the scan's filters, and its projections
+            // when they keep the bucket column bare.
+            bucketing: meta
+                .layout
+                .buckets
+                .and_then(|(c, n)| chain.col_out(base_schema.col(c)).map(|pos| (pos, n))),
             reservation: Vec::new(),
             fixed_size,
         }
@@ -1059,72 +905,7 @@ impl<'a> Lowering<'a> {
     }
 }
 
-// ---- scan-chain matching ----------------------------------------------------
-
-/// Decides whether a partition-directory value survives pruning.
-type PartitionPredicate = Box<dyn Fn(&str) -> bool>;
-
-enum ScanOp<'a> {
-    Filter(&'a Expr),
-    Project(&'a [(Expr, String)]),
-}
-
-/// A run of Filter/Project operators directly over a base-table scan —
-/// these fuse into the consuming job's map phase.
-struct ScanChain<'a> {
-    table: &'a str,
-    /// Bottom-up op order (closest to the scan first).
-    ops: Vec<ScanOp<'a>>,
-}
-
-impl<'a> ScanChain<'a> {
-    fn match_plan(plan: &'a LogicalPlan) -> Option<ScanChain<'a>> {
-        let mut ops_rev = Vec::new();
-        let mut cur = plan;
-        loop {
-            match cur {
-                LogicalPlan::Scan { table } => {
-                    ops_rev.reverse();
-                    return Some(ScanChain {
-                        table,
-                        ops: ops_rev,
-                    });
-                }
-                LogicalPlan::Filter { input, pred } => {
-                    ops_rev.push(ScanOp::Filter(pred));
-                    cur = input;
-                }
-                LogicalPlan::Project { input, exprs } => {
-                    ops_rev.push(ScanOp::Project(exprs));
-                    cur = input;
-                }
-                _ => return None,
-            }
-        }
-    }
-
-    /// Extract a partition-pruning predicate from base-level equality /
-    /// IN-list filters on the partition column.
-    fn partition_filter(
-        &self,
-        schema: &relational::Schema,
-        partition_col: Option<&'static str>,
-    ) -> Option<PartitionPredicate> {
-        let pcol = schema.col(partition_col?);
-        // Only filters *below* any projection see base column indices.
-        for op in &self.ops {
-            match op {
-                ScanOp::Project(_) => break,
-                ScanOp::Filter(pred) => {
-                    if let Some(keep) = prune_values(pred, pcol) {
-                        return Some(Box::new(move |part| keep.contains(&part.to_string())));
-                    }
-                }
-            }
-        }
-        None
-    }
-}
+// ---- partition pruning ------------------------------------------------------
 
 /// If `pred` (possibly an AND) pins column `col` to specific values, return
 /// their display forms.

@@ -65,8 +65,8 @@ pub struct HiveWarehouse {
 }
 
 impl HiveWarehouse {
-    /// Physically organize `rows` according to `layout` and store them as
-    /// RCFiles under `/warehouse/<table>/...`. Returns total compressed
+    /// Physically organize `rows` according to `layout` and store them in
+    /// the warehouse's format under `/warehouse/<table>/...`. Returns total compressed
     /// bytes written, or the out-of-space error.
     pub fn create_table(
         &mut self,
@@ -116,39 +116,7 @@ impl HiveWarehouse {
                     bucket_rows.sort_by(|a, z| a[bc].cmp(&z[bc]));
                 }
                 let path = format!("/warehouse/{name}/{part}/{b:05}");
-                match self.format {
-                    StorageFormat::RcFile => {
-                        let rc =
-                            RcFile::write(&bucket_rows, schema, storage::rcfile::DEFAULT_ROW_GROUP);
-                        let len = rc.compressed_size();
-                        total += len;
-                        self.dfs.create(&path, len, HiveFile::Rc(rc))?;
-                    }
-                    StorageFormat::Text => {
-                        let text = storage::text::encode(&bucket_rows);
-                        let len = text.len() as u64;
-                        total += len;
-                        self.dfs.create(&path, len, HiveFile::Text(text))?;
-                    }
-                    StorageFormat::ColBlock => {
-                        // Cluster-sort so block min/max ranges are tight
-                        // and disjoint; without it every block spans the
-                        // full value range and pruning never fires.
-                        if let Some(cc) =
-                            colblock_cluster_col(name).and_then(|c| schema.index_of(c))
-                        {
-                            bucket_rows.sort_by(|a, z| a[cc].cmp(&z[cc]));
-                        }
-                        let cb = ColBlockFile::write(
-                            &bucket_rows,
-                            schema,
-                            storage::colblock::DEFAULT_ROWS_PER_BLOCK,
-                        );
-                        let len = cb.compressed_size();
-                        total += len;
-                        self.dfs.create(&path, len, HiveFile::Col(cb))?;
-                    }
-                }
+                total += self.store_file(&path, name, schema, bucket_rows)?;
                 files.push(path);
             }
         }
@@ -162,6 +130,40 @@ impl HiveWarehouse {
             },
         );
         Ok(total)
+    }
+
+    /// Encode `rows` of `table` in the warehouse's format and store them
+    /// as one file at `path`. Returns the stored bytes, or the DFS error.
+    pub(crate) fn store_file(
+        &mut self,
+        path: &str,
+        table: &str,
+        schema: &Schema,
+        mut rows: Vec<Row>,
+    ) -> Result<u64, dfs::DfsError> {
+        let (len, file) = match self.format {
+            StorageFormat::RcFile => {
+                let rc = RcFile::write(&rows, schema, storage::rcfile::DEFAULT_ROW_GROUP);
+                (rc.compressed_size(), HiveFile::Rc(rc))
+            }
+            StorageFormat::Text => {
+                let text = storage::text::encode(&rows);
+                (text.len() as u64, HiveFile::Text(text))
+            }
+            StorageFormat::ColBlock => {
+                // Cluster-sort so block min/max ranges are tight and
+                // disjoint; without it every block spans the full value
+                // range and pruning never fires.
+                if let Some(cc) = colblock_cluster_col(table).and_then(|c| schema.index_of(c)) {
+                    rows.sort_by(|a, z| a[cc].cmp(&z[cc]));
+                }
+                let cb =
+                    ColBlockFile::write(&rows, schema, storage::colblock::DEFAULT_ROWS_PER_BLOCK);
+                (cb.compressed_size(), HiveFile::Col(cb))
+            }
+        };
+        self.dfs.create(path, len, file)?;
+        Ok(len)
     }
 
     pub fn table(&self, name: &str) -> &HiveTableMeta {

@@ -97,7 +97,7 @@ fn text_format_gives_identical_answers() {
     let (wt, _) = load_warehouse_fmt(&cat, &params, None, StorageFormat::Text).unwrap();
     let er = HiveEngine::new(wr);
     let et = HiveEngine::new(wt);
-    for q in [1usize, 6, 14] {
+    for q in 1..=tpch::QUERY_COUNT {
         let plan = tpch::query(q);
         let a = er.run_query(&plan).unwrap();
         let b = et.run_query(&plan).unwrap();

@@ -16,8 +16,8 @@ use crate::optimizer::{
     colblock_scan_charge, est_join_rows, implied_pred, ndv, pushdown_filters, JoinChain,
 };
 use cluster::{ClusterExec, Params, Phase};
-use relational::batch;
-use relational::expr::{Bounds, Expr};
+use relational::expr::Expr;
+use relational::scan::{col_after_project, ScanChain};
 use relational::value::row_bytes;
 use relational::{ops, AggCall, JoinKind, LogicalPlan, Row, SortKey, Value};
 use simkit::probe::Probe;
@@ -140,12 +140,9 @@ enum Dist {
 impl Dist {
     /// The distribution after a projection to `exprs`: a hash key survives
     /// only as a bare column reference.
-    fn after_project<'e>(self, mut exprs: impl Iterator<Item = &'e Expr>) -> Dist {
+    fn after_project(self, exprs: &[(Expr, String)]) -> Dist {
         match self {
-            Dist::Hash(c) => exprs
-                .position(|e| matches!(e, Expr::Col(i) if *i == c))
-                .map(Dist::Hash)
-                .unwrap_or(Dist::Arbitrary),
+            Dist::Hash(c) => col_after_project(c, exprs).map_or(Dist::Arbitrary, Dist::Hash),
             d => d,
         }
     }
@@ -538,7 +535,7 @@ impl<'a> Ctx<'a> {
                 for p in &mut rel.parts {
                     *p = ops::project(p, exprs);
                 }
-                rel.dist = rel.dist.after_project(exprs.iter().map(|(e, _)| e));
+                rel.dist = rel.dist.after_project(exprs);
                 rel.width = exprs.len();
                 rel
             }
@@ -597,200 +594,55 @@ impl<'a> Ctx<'a> {
 
     /// Fuse Filter/Project chains directly over a base scan. PDW's row
     /// store reads full rows from disk; filters and projections happen
-    /// after the read.
+    /// after the read. The colblock shadow instead decodes, per
+    /// distribution, only the needed columns of the blocks whose min/max
+    /// stats admit a match, and runs the chain vectorized.
     fn try_scan_chain(&mut self, plan: &LogicalPlan) -> Option<PRel> {
-        let mut ops_rev: Vec<&LogicalPlan> = Vec::new();
-        let mut cur = plan;
-        let table = loop {
-            match cur {
-                LogicalPlan::Scan { table } => break table.clone(),
-                LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
-                    ops_rev.push(cur);
-                    cur = input;
-                }
-                _ => return None,
-            }
-        };
-        if self.colblock {
-            if let Some(files) = self.cat.col_files.get(&table) {
-                return Some(self.scan_chain_colblock(&table, files, &ops_rev));
-            }
-        }
-        let t = self.cat.table(&table);
-        let base_rows = t.n_rows();
-        let base_bytes = self.cat.table_bytes(&table);
-        let stack: Vec<&LogicalPlan> = ops_rev.iter().rev().copied().collect();
-        let (parts, mut dist, mut width) = match t {
-            PdwTable::Hash { col, parts, schema } => (
-                parts.iter().map(|p| scan_part(p, &stack)).collect(),
-                Dist::Hash(*col),
-                schema.len(),
-            ),
-            PdwTable::Replicated { rows, schema } => (
-                vec![scan_part(rows, &stack)],
-                Dist::Replicated,
-                schema.len(),
-            ),
-        };
-        for op in &stack {
-            if let LogicalPlan::Project { exprs, .. } = op {
-                dist = dist.after_project(exprs.iter().map(|(e, _)| e));
-                width = exprs.len();
-            }
-        }
-        let out_rows: usize = parts.iter().map(Vec::len).sum();
-        self.charge_scan_filtered(&table, base_bytes, base_rows, out_rows);
-        Some(PRel { parts, dist, width })
-    }
-
-    /// The columnar scan path: per distribution, decode only the needed
-    /// columns of the blocks whose min/max stats admit a match against the
-    /// base-level filter bounds, then run the Filter/Project stack
-    /// vectorized over the resulting [`batch::ColumnBatch`]es.
-    fn scan_chain_colblock(
-        &mut self,
-        table: &str,
-        files: &[storage::ColBlockFile],
-        ops_rev: &[&LogicalPlan],
-    ) -> PRel {
-        let t = self.cat.table(table);
+        let chain = ScanChain::match_plan(plan)?;
+        let cat = self.cat;
+        let t = cat.table(chain.table);
         let base_width = t.schema().len();
-        let base_dist_col = match t {
-            PdwTable::Hash { col, .. } => Some(*col),
-            PdwTable::Replicated { .. } => None,
+        let dist = match t {
+            PdwTable::Hash { col, .. } => chain.col_out(*col).map_or(Dist::Arbitrary, Dist::Hash),
+            PdwTable::Replicated { .. } => Dist::Replicated,
         };
-
-        // Needed base columns come from the ops below the first projection
-        // (they see base indices). Pruning bounds keep collecting past
-        // bare-column projections by mapping filter columns back to base
-        // indices — Q19's implied part predicate sits *above* the leaf's
-        // column-select projection and would otherwise be lost.
-        let mut needed: BTreeSet<usize> = BTreeSet::new();
-        let mut bounds: BTreeMap<usize, Bounds> = BTreeMap::new();
-        let mut has_project = false;
-        let mut col_map: Option<Vec<usize>> = Some((0..base_width).collect());
-        for op in ops_rev.iter().rev() {
-            match op {
-                LogicalPlan::Filter { pred, .. } => {
-                    if !has_project {
-                        pred.referenced_cols(&mut needed);
-                    }
-                    if let Some(map) = &col_map {
-                        for (c, b) in pred.column_bounds() {
-                            if let Some(&base) = map.get(c) {
-                                let merged = match bounds.remove(&base) {
-                                    Some(prev) => prev.intersect(b),
-                                    None => b,
-                                };
-                                bounds.insert(base, merged);
-                            }
-                        }
-                    }
+        let col_files = cat.col_files.get(chain.table).filter(|_| self.colblock);
+        let parts = if let Some(files) = col_files {
+            let read = chain.column_read(base_width);
+            let mut stats = ScanStats::default();
+            let mut decoded_rows = 0usize;
+            let parts = files
+                .iter()
+                .map(|f| {
+                    let (b, s) = f.read_pruned(&read.cols, &read.bounds);
+                    decoded_rows += b.len;
+                    stats.merge(&s);
+                    read.chain.run_batch(b).to_rows()
+                })
+                .collect();
+            self.scan_stats.merge(&stats);
+            self.charge_scan_colblock(chain.table, &stats, decoded_rows);
+            parts
+        } else {
+            let parts: Vec<Vec<Row>> = match t {
+                PdwTable::Hash { parts, .. } => parts
+                    .iter()
+                    .map(|p| chain.run_rows(p.iter().map(Cow::Borrowed)))
+                    .collect(),
+                PdwTable::Replicated { rows, .. } => {
+                    vec![chain.run_rows(rows.iter().map(Cow::Borrowed))]
                 }
-                LogicalPlan::Project { exprs, .. } => {
-                    if !has_project {
-                        for (e, _) in exprs {
-                            e.referenced_cols(&mut needed);
-                        }
-                        has_project = true;
-                    }
-                    col_map = col_map.and_then(|map| {
-                        exprs
-                            .iter()
-                            .map(|(e, _)| match e {
-                                Expr::Col(i) => map.get(*i).copied(),
-                                _ => None,
-                            })
-                            .collect()
-                    });
-                }
-                _ => unreachable!(),
-            }
-        }
-        if !has_project {
-            needed = (0..base_width).collect();
-        }
-        let cols: Vec<usize> = needed.iter().copied().collect();
-        let remap: BTreeMap<usize, usize> = cols
-            .iter()
-            .enumerate()
-            .map(|(new, &old)| (old, new))
-            .collect();
-
-        // Distribution key and output width tracked through the op stack in
-        // remapped coordinates (one pass — identical for every file).
-        let mut dist = match base_dist_col {
-            Some(c) => remap
-                .get(&c)
-                .copied()
-                .map(Dist::Hash)
-                .unwrap_or(Dist::Arbitrary),
-            None => Dist::Replicated,
+            };
+            let out_rows = parts.iter().map(Vec::len).sum();
+            let base_bytes = cat.table_bytes(chain.table);
+            self.charge_scan_filtered(chain.table, base_bytes, t.n_rows(), out_rows);
+            parts
         };
-        let mut width = cols.len();
-        {
-            let mut level_map = Some(&remap);
-            for op in ops_rev.iter().rev() {
-                match op {
-                    LogicalPlan::Filter { .. } => {}
-                    LogicalPlan::Project { exprs, .. } => {
-                        let mapped: Vec<Expr> = exprs
-                            .iter()
-                            .map(|(e, _)| match level_map {
-                                Some(m) => e.remap_cols(m),
-                                None => e.clone(),
-                            })
-                            .collect();
-                        dist = dist.after_project(mapped.iter());
-                        width = exprs.len();
-                        level_map = None;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-        }
-
-        let mut total_stats = ScanStats::default();
-        let mut decoded_rows = 0usize;
-        let mut parts: Vec<Vec<Row>> = Vec::with_capacity(files.len());
-        for f in files {
-            let (mut b, stats) = f.read_pruned(&cols, &bounds);
-            decoded_rows += b.len;
-            total_stats.merge(&stats);
-            let mut level_map = Some(&remap);
-            for op in ops_rev.iter().rev() {
-                match op {
-                    LogicalPlan::Filter { pred, .. } => {
-                        let p2 = match level_map {
-                            Some(m) => pred.remap_cols(m),
-                            None => (*pred).clone(),
-                        };
-                        b = batch::filter(&b, &p2);
-                    }
-                    LogicalPlan::Project { exprs, .. } => {
-                        let mapped: Vec<(Expr, String)> = exprs
-                            .iter()
-                            .map(|(e, n)| {
-                                (
-                                    match level_map {
-                                        Some(m) => e.remap_cols(m),
-                                        None => e.clone(),
-                                    },
-                                    n.clone(),
-                                )
-                            })
-                            .collect();
-                        b = batch::project(&b, &mapped);
-                        level_map = None;
-                    }
-                    _ => unreachable!(),
-                }
-            }
-            parts.push(b.to_rows());
-        }
-        self.scan_stats.merge(&total_stats);
-        self.charge_scan_colblock(table, &total_stats, decoded_rows);
-        PRel { parts, dist, width }
+        Some(PRel {
+            parts,
+            dist,
+            width: chain.width(base_width),
+        })
     }
 
     // ---- joins -----------------------------------------------------------
@@ -1298,32 +1150,6 @@ impl<'a> Ctx<'a> {
             width,
         }
     }
-}
-
-/// Run a scan chain's Filter/Project stack (bottom-up) over one base
-/// partition in a single pass. A row stays borrowed until a projection
-/// builds a new one, so only the surviving rows, or their projected values,
-/// are ever copied.
-fn scan_part(rows: &[Row], stack: &[&LogicalPlan]) -> Vec<Row> {
-    let mut out = Vec::new();
-    'rows: for row in rows {
-        let mut cur = Cow::Borrowed(row);
-        for op in stack {
-            match op {
-                LogicalPlan::Filter { pred, .. } => {
-                    if !pred.matches(&cur) {
-                        continue 'rows;
-                    }
-                }
-                LogicalPlan::Project { exprs, .. } => {
-                    cur = Cow::Owned(exprs.iter().map(|(e, _)| e.eval(&cur)).collect());
-                }
-                _ => unreachable!("scan chains hold only Filter and Project"),
-            }
-        }
-        out.push(cur.into_owned());
-    }
-    out
 }
 
 /// How often each materialized label occurs in the plan. Every plan node

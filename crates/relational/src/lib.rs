@@ -18,6 +18,9 @@
 //! * [`batch`] — vectorized counterparts of the same kernels over typed
 //!   column vectors (`ColumnBatch`), answer-equivalent by construction
 //!   and fed by the columnar `storage::colblock` scan paths,
+//! * [`scan`] — the scan chain both warehouses fuse into a base-table
+//!   read: a Filter/Project stack, its read columns, pruning bounds and
+//!   row and batch runners,
 //! * [`exec`] — a single-node reference executor used as the ground truth
 //!   in cross-engine answer-equality tests,
 //! * [`catalog`] — an in-memory table provider.
@@ -55,6 +58,7 @@ pub mod exec;
 pub mod expr;
 pub mod ops;
 pub mod plan;
+pub mod scan;
 pub mod schema;
 pub mod testing;
 pub mod value;

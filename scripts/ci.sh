@@ -94,15 +94,18 @@ cargo run -q --release -p bench --bin bench_obs -- --iters 1 > "$tmp/BENCH_obs_s
 cargo run -q --release -p bench --bin validate_bench -- \
   "$tmp/BENCH_kernel_smoke.json" "$tmp/BENCH_obs_smoke.json" results/BENCH_*.json
 
-echo "== stale-fixture check (every results/ file named in EXPERIMENTS.md exists)"
+echo "== stale-fixture check (every results/ file the docs name exists)"
 # The prose and drift logs cite results/ files too; a renamed or deleted
-# artifact must not leave a dangling reference behind.
+# artifact must not leave a dangling reference behind. ROADMAP.md is left
+# out: it names files that are planned, not yet made.
 missing=0
-for f in $(grep -o 'results/[A-Za-z0-9_.-]*\.[a-z]*' EXPERIMENTS.md | sort -u); do
-  if [ ! -f "$f" ]; then
-    echo "EXPERIMENTS.md names $f but it does not exist" >&2
-    missing=1
-  fi
+for doc in EXPERIMENTS.md README.md ARCHITECTURE.md DESIGN.md PERFORMANCE.md; do
+  for f in $(grep -o 'results/[A-Za-z0-9_.-]*\.[a-z]*' "$doc" | sort -u); do
+    if [ ! -f "$f" ]; then
+      echo "$doc names $f but it does not exist" >&2
+      missing=1
+    fi
+  done
 done
 [ "$missing" -eq 0 ]
 
