@@ -182,8 +182,8 @@ impl HiveEngine {
         let mut lowering = Lowering::new(&self.warehouse);
         lowering.exec.set_probe(probe);
         lowering.map_failure_fraction = self.map_failure_fraction;
-        let staged: Staged = lowering.lower(plan)?;
-        let rows = staged.all_rows();
+        let mut staged: Staged = lowering.lower(plan)?;
+        let rows = staged.take_rows().collect();
         lowering.exec.set_probe(None);
         Ok(QueryRun {
             rows,

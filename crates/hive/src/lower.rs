@@ -48,6 +48,9 @@ const INTERMEDIATE_STORE_FACTOR: f64 = 1.2;
 #[derive(Clone)]
 pub struct Seg {
     pub rows: Vec<Row>,
+    /// Uncompressed data volume of `rows`, their `row_bytes` sum: counted
+    /// when the segment is built and recounted only when its rows change.
+    pub bytes: u64,
     /// Stored (compressed) bytes a map task must read.
     pub read_bytes: u64,
     pub node: usize,
@@ -77,25 +80,33 @@ pub struct Staged {
     pub fixed_size: bool,
 }
 
+impl Seg {
+    fn recount(&mut self) {
+        self.bytes = rows_bytes(&self.rows);
+    }
+}
+
+fn rows_bytes(rows: &[Row]) -> u64 {
+    rows.iter().map(|r| row_bytes(r)).sum()
+}
+
 impl Staged {
     pub fn n_rows(&self) -> usize {
         self.segments.iter().map(|s| s.rows.len()).sum()
     }
 
-    pub fn all_rows(&self) -> Vec<Row> {
-        let mut out = Vec::with_capacity(self.n_rows());
-        for s in &self.segments {
-            out.extend(s.rows.iter().cloned());
-        }
-        out
+    /// Every row, segment after segment, moved out of the relation; the
+    /// segments are left empty.
+    pub fn take_rows(&mut self) -> impl Iterator<Item = Row> + '_ {
+        self.segments.iter_mut().flat_map(|s| {
+            s.bytes = 0;
+            std::mem::take(&mut s.rows)
+        })
     }
 
     /// Uncompressed data volume.
     pub fn data_bytes(&self) -> u64 {
-        self.segments
-            .iter()
-            .map(|s| s.rows.iter().map(|r| row_bytes(r)).sum::<u64>())
-            .sum()
+        self.segments.iter().map(|s| s.bytes).sum()
     }
 }
 
@@ -226,8 +237,8 @@ impl<'a> Lowering<'a> {
 
     /// Release an intermediate's space once a downstream job has consumed
     /// it (Hive deletes consumed stage outputs as the DAG advances).
-    fn release(&mut self, staged: &mut Staged) {
-        for (node, b) in staged.reservation.drain(..) {
+    fn release(&mut self, reservation: Vec<(usize, u64)>) {
+        for (node, b) in reservation {
             self.scratch_used[node] = self.scratch_used[node].saturating_sub(b);
         }
     }
@@ -244,6 +255,7 @@ impl<'a> Lowering<'a> {
                 let mut s = self.lower(input)?;
                 for seg in &mut s.segments {
                     seg.rows.retain(|r| pred.matches(r));
+                    seg.recount();
                 }
                 Ok(s)
             }
@@ -251,6 +263,7 @@ impl<'a> Lowering<'a> {
                 let mut s = self.lower(input)?;
                 for seg in &mut s.segments {
                     seg.rows = ops::project(&seg.rows, exprs);
+                    seg.recount();
                 }
                 // Bucketing survives only if the bucket column is projected
                 // as a bare column reference.
@@ -295,6 +308,7 @@ impl<'a> Lowering<'a> {
                 for seg in &mut s.segments {
                     let take = remaining.min(seg.rows.len());
                     seg.rows.truncate(take);
+                    seg.recount();
                     remaining -= take;
                 }
                 Ok(s)
@@ -387,6 +401,7 @@ impl<'a> Lowering<'a> {
                 ),
             };
             segments.push(Seg {
+                bytes: rows_bytes(&rows),
                 rows,
                 read_bytes,
                 node,
@@ -428,17 +443,6 @@ impl<'a> Lowering<'a> {
         let (lb, rb) = (left.data_bytes(), right.data_bytes());
         let small_bytes = lb.min(rb);
         let small_rows = left.n_rows().min(right.n_rows());
-        if std::env::var("HIVE_JOIN_DEBUG").is_ok() {
-            eprintln!(
-                "join decision: l={} rows/{}B r={} rows/{}B small={}B mem_limit={}B",
-                left.n_rows(),
-                lb,
-                right.n_rows(),
-                rb,
-                small_bytes,
-                (self.params().task_mem as f64 * MAPJOIN_MEM_FRAC) as u64
-            );
-        }
         let mem_limit = p.task_mem as f64 * MAPJOIN_MEM_FRAC;
         let auto_limit = p.task_mem as f64 * MAPJOIN_AUTO_FRAC;
 
@@ -493,7 +497,7 @@ impl<'a> Lowering<'a> {
     #[allow(clippy::too_many_arguments)]
     fn map_join(
         &mut self,
-        left: Staged,
+        mut left: Staged,
         right: Staged,
         kind: JoinKind,
         on: &[(usize, usize)],
@@ -508,10 +512,21 @@ impl<'a> Lowering<'a> {
         // bigger one.
         let stream_left = lb >= rb;
         let small_bytes = lb.min(rb);
+        // Per-file row counts of the streamed side, read before the probe
+        // moves the left rows out.
+        let streamed_rows: Vec<usize> = if stream_left { &left } else { &right }
+            .segments
+            .iter()
+            .map(|s| s.rows.len())
+            .collect();
 
-        let lrows = left.all_rows();
-        let rrows = right.all_rows();
-        let result = ops::hash_join(&lrows, &rrows, on, kind, residual, right_width);
+        let table = ops::JoinTable::build(right.segments.iter().flat_map(|s| &s.rows), on);
+        let result = table.probe(
+            left.take_rows().map(Cow::Owned),
+            kind,
+            residual,
+            right_width,
+        );
 
         let streamed = if stream_left { &left } else { &right };
         let kind_name = if bucketed {
@@ -542,15 +557,15 @@ impl<'a> Lowering<'a> {
             small_bytes as f64 / p.mapjoin_load_bw
         };
         let out_rows = result.len();
-        let in_rows = streamed.n_rows().max(1);
-        for seg in &streamed.segments {
-            for b in 0..seg.blocks.max(1) {
-                let _ = b;
-                let rows = seg.rows.len() as f64 / seg.blocks.max(1) as f64;
+        let in_rows = streamed_rows.iter().sum::<usize>().max(1);
+        for (seg, &seg_rows) in streamed.segments.iter().zip(&streamed_rows) {
+            let blocks = seg.blocks.max(1);
+            let rows = seg_rows as f64 / blocks as f64;
+            for _ in 0..blocks {
                 spec.maps.push(MapTaskSpec {
                     node: seg.node,
-                    read_bytes: seg.read_bytes / seg.blocks.max(1) as u64,
-                    cpu_secs: seg.read_bytes as f64 / seg.blocks.max(1) as f64 / seg.decode_bw
+                    read_bytes: seg.read_bytes / blocks as u64,
+                    cpu_secs: seg.read_bytes as f64 / blocks as f64 / seg.decode_bw
                         + rows / p.hive_rows_per_sec
                         + per_task_load
                         + (out_rows as f64 * rows / in_rows as f64) / p.hive_rows_per_sec,
@@ -561,13 +576,10 @@ impl<'a> Lowering<'a> {
         self.run(spec);
         let n_files = streamed.segments.len().max(1);
         let fixed = left.fixed_size && right.fixed_size;
-        {
-            let mut l = left;
-            let mut r = right;
-            self.release(&mut l);
-            self.release(&mut r);
-        }
-        let mut out = self.staged_from_rows(result, n_files);
+        let width = join_width(left.width, right_width, kind);
+        self.release(left.reservation);
+        self.release(right.reservation);
+        let mut out = self.staged_with_width(result, n_files, width);
         out.fixed_size = fixed;
         let store = (out.data_bytes() as f64 * INTERMEDIATE_STORE_FACTOR) as u64
             * self.params().hdfs_replication as u64;
@@ -578,19 +590,14 @@ impl<'a> Lowering<'a> {
     /// Common join: full MapReduce job, both sides shuffled on the key.
     fn common_join(
         &mut self,
-        left: Staged,
-        right: Staged,
+        mut left: Staged,
+        mut right: Staged,
         kind: JoinKind,
         on: &[(usize, usize)],
         residual: Option<&Expr>,
         right_width: usize,
     ) -> Result<Staged, HiveError> {
         let p = self.params().clone();
-        let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
-        let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
-        let lparts = ops::hash_partition(left.all_rows(), &lcols, REDUCERS);
-        let rparts = ops::hash_partition(right.all_rows(), &rcols, REDUCERS);
-
         let shuffle_bytes = ((left.data_bytes() + right.data_bytes()) as f64 * LZO_FACTOR) as u64;
         let label = format!("{}:common-join", self.label());
         let spill = self.reserve(shuffle_bytes, &label)?;
@@ -599,8 +606,7 @@ impl<'a> Lowering<'a> {
         for staged in [&left, &right] {
             for seg in &staged.segments {
                 let blocks = seg.blocks.max(1);
-                let out =
-                    (seg.rows.iter().map(|r| row_bytes(r)).sum::<u64>() as f64 * LZO_FACTOR) as u64;
+                let out = (seg.bytes as f64 * LZO_FACTOR) as u64;
                 for _ in 0..blocks {
                     spec.maps.push(MapTaskSpec {
                         node: seg.node,
@@ -613,17 +619,22 @@ impl<'a> Lowering<'a> {
             }
         }
 
+        let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
+        let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        let lparts = ops::hash_partition(left.take_rows(), &lcols, REDUCERS);
+        let rparts = ops::hash_partition(right.take_rows(), &rcols, REDUCERS);
         let mut out_segments = Vec::with_capacity(REDUCERS);
         let mut out_total = 0u64;
-        for r in 0..REDUCERS {
-            let joined = ops::hash_join(&lparts[r], &rparts[r], on, kind, residual, right_width);
-            let in_rows = lparts[r].len() + rparts[r].len();
-            let in_bytes: u64 = lparts[r]
-                .iter()
-                .chain(rparts[r].iter())
-                .map(|row| row_bytes(row))
-                .sum();
-            let out_bytes: u64 = joined.iter().map(|row| row_bytes(row)).sum();
+        for (r, (lp, rp)) in lparts.into_iter().zip(rparts).enumerate() {
+            let in_rows = lp.len() + rp.len();
+            let in_bytes = rows_bytes(&lp) + rows_bytes(&rp);
+            let joined = ops::JoinTable::build(&rp, on).probe(
+                lp.into_iter().map(Cow::Owned),
+                kind,
+                residual,
+                right_width,
+            );
+            let out_bytes = rows_bytes(&joined);
             out_total += out_bytes;
             let stored = (out_bytes as f64 * p.rcfile_compression) as u64;
             spec.reduces.push(ReduceTaskSpec {
@@ -635,6 +646,7 @@ impl<'a> Lowering<'a> {
             });
             out_segments.push(Seg {
                 rows: joined,
+                bytes: out_bytes,
                 read_bytes: stored,
                 node: r % p.nodes,
                 blocks: (stored / p.hdfs_block_size.max(1)).max(1) as usize,
@@ -649,36 +661,13 @@ impl<'a> Lowering<'a> {
         self.run(spec);
         // The shuffle spill is cleaned up at job end; the inputs were
         // consumed by this job and their stage outputs get deleted.
-        let mut spill_holder = Staged {
-            segments: Vec::new(),
-            width: 0,
-            bucketing: None,
-            reservation: spill,
-            fixed_size: false,
-        };
-        self.release(&mut spill_holder);
-        let left_width = left.width;
-        {
-            let mut l = left;
-            let mut r = right;
-            self.release(&mut l);
-            self.release(&mut r);
-        }
-        let width = out_segments
-            .iter()
-            .find_map(|s| s.rows.first().map(|r| r.len()))
-            .unwrap_or(
-                left_width
-                    + if matches!(kind, JoinKind::Inner | JoinKind::Left) {
-                        right_width
-                    } else {
-                        0
-                    },
-            );
+        self.release(spill);
+        self.release(left.reservation);
+        self.release(right.reservation);
         let reservation = self.reserve(store, &label2)?;
         Ok(Staged {
             segments: out_segments,
-            width,
+            width: join_width(left.width, right_width, kind),
             bucketing: None,
             reservation,
             fixed_size: false,
@@ -721,10 +710,7 @@ impl<'a> Lowering<'a> {
         }
 
         // Input stage outputs are consumed by this job.
-        {
-            let mut i = input;
-            self.release(&mut i);
-        }
+        self.release(input.reservation);
         // Merge globally (= what the reducers jointly compute).
         let merged = partials
             .into_iter()
@@ -732,11 +718,12 @@ impl<'a> Lowering<'a> {
         // Distribute groups across reducers by key hash.
         let mut reducer_tables: Vec<ops::GroupTable> =
             (0..reducers).map(|_| ops::GroupTable::new()).collect();
+        let key_cols: Vec<usize> = (0..group_by.len()).collect();
         for (k, v) in merged {
             let r = if reducers == 1 {
                 0
             } else {
-                ops::bucket_of(&k, &(0..k.len()).collect::<Vec<_>>(), reducers)
+                ops::bucket_of(&k, &key_cols, reducers)
             };
             reducer_tables[r].insert(k, v);
         }
@@ -745,7 +732,7 @@ impl<'a> Lowering<'a> {
         for (r, table) in reducer_tables.into_iter().enumerate() {
             let in_rows: usize = table.len();
             let rows = ops::aggregate_finish(table);
-            let bytes: u64 = rows.iter().map(|row| row_bytes(row)).sum();
+            let bytes = rows_bytes(&rows);
             let stored = (bytes as f64 * p.rcfile_compression) as u64;
             spec.reduces.push(ReduceTaskSpec {
                 node: r % p.nodes,
@@ -755,6 +742,7 @@ impl<'a> Lowering<'a> {
             });
             out_segments.push(Seg {
                 rows,
+                bytes,
                 read_bytes: stored,
                 node: r % p.nodes,
                 blocks: (stored / p.hdfs_block_size.max(1)).max(1) as usize,
@@ -762,10 +750,7 @@ impl<'a> Lowering<'a> {
             });
         }
         self.run(spec);
-        let out_bytes: u64 = out_segments
-            .iter()
-            .map(|seg| seg.rows.iter().map(|r| row_bytes(r)).sum::<u64>())
-            .sum();
+        let out_bytes: u64 = out_segments.iter().map(|seg| seg.bytes).sum();
         let store = (out_bytes as f64 * INTERMEDIATE_STORE_FACTOR) as u64
             * self.params().hdfs_replication as u64;
         let reservation = self.reserve(store, "agg-output")?;
@@ -783,7 +768,7 @@ impl<'a> Lowering<'a> {
 
     fn lower_sort(
         &mut self,
-        input: Staged,
+        mut input: Staged,
         keys: &[SortKey],
         limit: Option<usize>,
     ) -> Result<Staged, HiveError> {
@@ -791,8 +776,7 @@ impl<'a> Lowering<'a> {
         let mut spec = JobSpec::new(format!("{}:order-by", self.label()));
         for seg in &input.segments {
             let blocks = seg.blocks.max(1);
-            let out =
-                (seg.rows.iter().map(|r| row_bytes(r)).sum::<u64>() as f64 * LZO_FACTOR) as u64;
+            let out = (seg.bytes as f64 * LZO_FACTOR) as u64;
             for _ in 0..blocks {
                 spec.maps.push(MapTaskSpec {
                     node: seg.node,
@@ -803,29 +787,31 @@ impl<'a> Lowering<'a> {
                 });
             }
         }
-        let mut rows = ops::sort(input.all_rows(), keys);
+        // Hive's total ORDER BY runs on a single reducer.
+        let shuffle_bytes = (input.data_bytes() as f64 * LZO_FACTOR) as u64;
+        let in_rows = input.n_rows();
+        let mut rows = ops::sort(input.take_rows().collect(), keys);
         if let Some(n) = limit {
             rows.truncate(n);
         }
-        let bytes: u64 = rows.iter().map(|r| row_bytes(r)).sum();
-        // Hive's total ORDER BY runs on a single reducer.
+        let bytes = rows_bytes(&rows);
         spec.reduces.push(ReduceTaskSpec {
             node: 0,
-            shuffle_bytes: (input.data_bytes() as f64 * LZO_FACTOR) as u64,
-            cpu_secs: input.n_rows() as f64 / p.hive_rows_per_sec,
+            shuffle_bytes,
+            cpu_secs: in_rows as f64 / p.hive_rows_per_sec,
             output_bytes: (bytes as f64 * p.rcfile_compression) as u64,
         });
         self.run(spec);
-        let width = rows.first().map(|r| r.len()).unwrap_or(input.width);
         Ok(Staged {
             segments: vec![Seg {
                 read_bytes: (bytes as f64 * p.rcfile_compression) as u64,
                 rows,
+                bytes,
                 node: 0,
                 blocks: 1,
                 decode_bw: p.rcfile_decode_bw,
             }],
-            width,
+            width: input.width,
             bucketing: None,
             reservation: Vec::new(),
             fixed_size: false,
@@ -837,15 +823,14 @@ impl<'a> Lowering<'a> {
     /// INSERT OVERWRITE of map-side-only work: a map-only job, plus the
     /// paper's 50-second "filesystem job" merging many small output files
     /// (observed at SF ≤ 4 TB where ≤ 400 map tasks each wrote a sliver).
-    fn materialize_job(&mut self, input: Staged, label: &str) -> Result<Staged, HiveError> {
+    fn materialize_job(&mut self, mut input: Staged, label: &str) -> Result<Staged, HiveError> {
         let p = self.params().clone();
         let mut spec = JobSpec::new(format!("{label}:insert"));
         let mut n_maps = 0;
         for seg in &input.segments {
             let blocks = seg.blocks.max(1);
             n_maps += blocks;
-            let out = (seg.rows.iter().map(|r| row_bytes(r)).sum::<u64>() as f64
-                * p.rcfile_compression) as u64;
+            let out = (seg.bytes as f64 * p.rcfile_compression) as u64;
             for _ in 0..blocks {
                 spec.maps.push(MapTaskSpec {
                     node: seg.node,
@@ -860,28 +845,29 @@ impl<'a> Lowering<'a> {
         if (64..=400).contains(&n_maps) {
             self.charge_fixed(&format!("{label}:fs-merge"), p.hive_fs_job);
         }
-        let width = input.width;
-        let rows = input.all_rows();
-        Ok(self.staged_with_width(rows, n_maps.max(1), width))
+        let rows = input.take_rows().collect();
+        Ok(self.staged_with_width(rows, n_maps.max(1), input.width))
     }
 
-    fn staged_from_rows(&self, rows: Vec<Row>, n_files: usize) -> Staged {
-        let width = rows.first().map(|r| r.len()).unwrap_or(0);
-        self.staged_with_width(rows, n_files, width)
-    }
-
+    /// `rows` written as `n_files` (at most 512) equal files, in order.
     fn staged_with_width(&self, rows: Vec<Row>, n_files: usize, width: usize) -> Staged {
         let p = self.params();
         let n_files = n_files.clamp(1, 512);
         let chunk = rows.len().div_ceil(n_files).max(1);
+        let mut rows = rows.into_iter();
         let mut segments = Vec::new();
-        for (i, rows) in rows.chunks(chunk).enumerate() {
-            let bytes: u64 = rows.iter().map(|r| row_bytes(r)).sum();
+        loop {
+            let file: Vec<Row> = rows.by_ref().take(chunk).collect();
+            if file.is_empty() {
+                break;
+            }
+            let bytes = rows_bytes(&file);
             let stored = (bytes as f64 * p.rcfile_compression) as u64;
             segments.push(Seg {
-                rows: rows.to_vec(),
+                rows: file,
+                bytes,
                 read_bytes: stored,
-                node: i % p.nodes,
+                node: segments.len() % p.nodes,
                 blocks: (stored / p.hdfs_block_size.max(1)).max(1) as usize,
                 decode_bw: p.rcfile_decode_bw,
             });
@@ -889,6 +875,7 @@ impl<'a> Lowering<'a> {
         if segments.is_empty() {
             segments.push(Seg {
                 rows: Vec::new(),
+                bytes: 0,
                 read_bytes: 0,
                 node: 0,
                 blocks: 1,
@@ -902,6 +889,15 @@ impl<'a> Lowering<'a> {
             reservation: Vec::new(),
             fixed_size: false,
         }
+    }
+}
+
+/// Width of a join's output rows: a semi or anti join keeps only the left
+/// row.
+fn join_width(left_width: usize, right_width: usize, kind: JoinKind) -> usize {
+    match kind {
+        JoinKind::Inner | JoinKind::Left => left_width + right_width,
+        JoinKind::LeftSemi | JoinKind::LeftAnti => left_width,
     }
 }
 

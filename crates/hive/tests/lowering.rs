@@ -2,9 +2,11 @@
 //! picked, partition pruning, text-format equality, and job structure.
 
 use cluster::Params;
+use hive::lower::Lowering;
 use hive::{load_warehouse, load_warehouse_fmt, HiveEngine, StorageFormat};
 use relational::expr::{col, lit_i64, lit_str};
-use relational::{AggCall, LogicalPlan};
+use relational::value::row_bytes;
+use relational::{AggCall, JoinKind, LogicalPlan, Value};
 use tpch::{generate, GenConfig};
 
 fn engine(scale: f64, paper: f64) -> HiveEngine {
@@ -127,4 +129,67 @@ fn empty_bucket_map_tasks_still_launch() {
         "waves = {}",
         scan_job.report.min_waves
     );
+}
+
+#[test]
+fn left_join_against_an_empty_map_join_pads_its_full_width() {
+    // nation ⋈ region with no region left is an empty map-join output; the
+    // LEFT join over it must still pad all 7 of its columns with NULLs.
+    let e = engine(0.01, 250.0);
+    let nowhere = LogicalPlan::scan("nation").join(
+        LogicalPlan::scan("region").filter(col(1).eq(lit_str("NOWHERE"))),
+        vec![(2, 0)],
+    );
+    let plan = LogicalPlan::scan("region")
+        .join_kind(nowhere, JoinKind::Left, vec![(0, 2)], None)
+        .project(vec![(col(0), "r_regionkey"), (col(4), "n_name")]);
+    let run = e.run_query(&plan).unwrap();
+    assert!(
+        run.jobs.iter().any(|j| j.label.contains("mapjoin")),
+        "the inner join should map-join"
+    );
+    assert_eq!(run.rows.len(), 5, "one row per region");
+    assert!(run.rows.iter().all(|r| r.len() == 2 && r[1] == Value::Null));
+}
+
+/// Every node of `plan`, the root first.
+fn subplans<'a>(plan: &'a LogicalPlan, out: &mut Vec<&'a LogicalPlan>) {
+    out.push(plan);
+    match plan {
+        LogicalPlan::Scan { .. } => {}
+        LogicalPlan::Join { left, right, .. } => {
+            subplans(left, out);
+            subplans(right, out);
+        }
+        LogicalPlan::Filter { input, .. }
+        | LogicalPlan::Project { input, .. }
+        | LogicalPlan::Aggregate { input, .. }
+        | LogicalPlan::Sort { input, .. }
+        | LogicalPlan::Limit { input, .. }
+        | LogicalPlan::Materialize { input, .. } => subplans(input, out),
+    }
+}
+
+#[test]
+fn cached_segment_bytes_match_a_recount_for_every_subplan() {
+    // Each lowered intermediate of the 22 queries: every file's cached byte
+    // count equals its rows' byte sum, and every row has the stage's width.
+    let e = engine(0.005, 250.0);
+    for q in 1..=tpch::QUERY_COUNT {
+        let plan = tpch::query(q);
+        let mut nodes = Vec::new();
+        subplans(&plan, &mut nodes);
+        for node in nodes {
+            let staged = Lowering::new(&e.warehouse).lower(node).unwrap();
+            for seg in &staged.segments {
+                let recount: u64 = seg.rows.iter().map(|r| row_bytes(r)).sum();
+                assert_eq!(seg.bytes, recount, "Q{q}: cached bytes drifted");
+                assert!(
+                    seg.rows.iter().all(|r| r.len() == staged.width),
+                    "Q{q}: row width differs from the stage's {}",
+                    staged.width
+                );
+            }
+        }
+    }
 }

@@ -706,12 +706,17 @@ impl<'a> Ctx<'a> {
         let mut layout: Vec<(usize, usize)> =
             (0..chain.widths[start]).map(|c| (start, c)).collect();
         let mut residual_attached = vec![false; chain.residuals.len()];
+        // NDVs by (leaf, column), counted once: a leaf does not change
+        // until it is joined.
+        let mut leaf_ndv: BTreeMap<(usize, usize), usize> = BTreeMap::new();
 
         while !remaining.is_empty() {
             // Candidates joined to the current result by some predicate.
             let joined_leaves: BTreeSet<usize> = layout.iter().map(|&(l, _)| l).collect();
             let mut best: Option<(usize, f64)> = None;
             let cur_bytes = current.bytes();
+            // NDVs of `current`'s columns, counted once per iteration.
+            let mut cur_ndv: BTreeMap<usize, usize> = BTreeMap::new();
             for &cand in &remaining {
                 let connected = chain.preds.iter().any(|p| {
                     (p.left.0 == cand && joined_leaves.contains(&p.right.0))
@@ -739,8 +744,12 @@ impl<'a> Ctx<'a> {
                     .iter()
                     .position(|&lc| lc == cur_leafcol)
                     .expect("joined col in layout");
-                let ndv_cand = ndv(&r.parts, cand_col);
-                let ndv_cur = ndv(&current.parts, cur_pos);
+                let ndv_cand = *leaf_ndv
+                    .entry((cand, cand_col))
+                    .or_insert_with(|| ndv(&r.parts, cand_col));
+                let ndv_cur = *cur_ndv
+                    .entry(cur_pos)
+                    .or_insert_with(|| ndv(&current.parts, cur_pos));
                 let est_rows = est_join_rows(current.n_rows(), r.n_rows(), ndv_cur, ndv_cand);
                 let move_bytes = leaf_bytes[cand].min(cur_bytes) as f64;
                 let avg_w = (row_avg(cur_bytes, &current) + row_avg(leaf_bytes[cand], r)) as f64;
@@ -1002,49 +1011,57 @@ impl<'a> Ctx<'a> {
             }
         }
 
-        // Local join per distribution.
+        // Local join per distribution. The partitions move into the join,
+        // so the rows it charges are counted first.
         let rw = r.width;
-        let empty: Vec<Row> = Vec::new();
-        let (out_parts, out_dist): (Vec<Vec<Row>>, Dist) = match (&l.dist, &r.dist) {
+        let in_rows = l.n_rows() + r.n_rows();
+        let (out_parts, out_dist): (Vec<Vec<Row>>, Dist) = match (l.dist, r.dist) {
             (Dist::Replicated, Dist::Replicated) => {
                 let out = ops::hash_join(&l.parts[0], &r.parts[0], &on, kind, residual, rw);
                 (vec![out], Dist::Replicated)
             }
-            (Dist::Replicated, _) => {
+            (Dist::Replicated, rdist) => {
                 debug_assert_eq!(kind, JoinKind::Inner, "left-replicated only for inner");
                 let parts = r
                     .parts
                     .iter()
                     .map(|rp| ops::hash_join(&l.parts[0], rp, &on, kind, residual, rw))
                     .collect();
-                let dist = match r.dist {
+                let dist = match rdist {
                     Dist::Hash(rc) => Dist::Hash(l.width + rc),
                     _ => Dist::Arbitrary,
                 };
                 (parts, dist)
             }
-            (_, Dist::Replicated) => {
+            (ldist, Dist::Replicated) => {
                 // One build of the replicated side serves every partition.
                 let table = ops::JoinTable::build(&r.parts[0], &on);
                 let parts = l
                     .parts
-                    .iter()
-                    .map(|lp| table.probe(lp, kind, residual, rw))
+                    .into_iter()
+                    .map(|lp| table.probe(lp.into_iter().map(Cow::Owned), kind, residual, rw))
                     .collect();
-                (parts, l.dist)
+                (parts, ldist)
             }
-            _ => {
+            (ldist, _) => {
+                let mut lparts = l.parts.into_iter();
+                let mut rparts = r.parts.iter();
                 let parts = (0..d)
-                    .map(|i| {
-                        let lp = l.parts.get(i).unwrap_or(&empty);
-                        let rp = r.parts.get(i).unwrap_or(&empty);
-                        ops::hash_join(lp, rp, &on, kind, residual, rw)
+                    .map(|_| {
+                        let lp = lparts.next().unwrap_or_default();
+                        let rp = rparts.next().map_or(&[][..], Vec::as_slice);
+                        ops::JoinTable::build(rp, &on).probe(
+                            lp.into_iter().map(Cow::Owned),
+                            kind,
+                            residual,
+                            rw,
+                        )
                     })
                     .collect();
-                (parts, l.dist)
+                (parts, ldist)
             }
         };
-        self.charge_join(&format!("local-join:{name}"), l.n_rows() + r.n_rows());
+        self.charge_join(&format!("local-join:{name}"), in_rows);
         let width = match kind {
             JoinKind::Inner | JoinKind::Left => l.width + rw,
             _ => l.width,

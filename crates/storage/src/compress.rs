@@ -88,10 +88,14 @@ pub fn decompress(mut input: &[u8]) -> Vec<u8> {
             let dist = u16::from_le_bytes([input[0], input[1]]) as usize;
             input = &input[2..];
             let start = out.len() - dist;
-            // Byte-at-a-time copy: matches may overlap their own output.
-            for k in 0..len {
-                let b = out[start + k];
-                out.push(b);
+            if len <= dist {
+                out.extend_from_within(start..start + len);
+            } else {
+                // Byte-at-a-time copy: the match overlaps its own output.
+                for k in 0..len {
+                    let b = out[start + k];
+                    out.push(b);
+                }
             }
         }
     }

@@ -81,12 +81,19 @@ impl RcFile {
     pub fn read_columns(&self, cols: &[usize]) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.n_rows());
         for g in &self.groups {
-            let decoded: Vec<Vec<Value>> = cols
+            let mut decoded: Vec<std::vec::IntoIter<Value>> = cols
                 .iter()
-                .map(|&c| decode_column(&g.columns[c], self.schema.field(c).ty, g.n_rows))
+                .map(|&c| {
+                    decode_column(&g.columns[c], self.schema.field(c).ty, g.n_rows).into_iter()
+                })
                 .collect();
-            for i in 0..g.n_rows {
-                out.push(decoded.iter().map(|col| col[i].clone()).collect());
+            for _ in 0..g.n_rows {
+                out.push(
+                    decoded
+                        .iter_mut()
+                        .map(|col| col.next().expect("a value per row"))
+                        .collect(),
+                );
             }
         }
         out

@@ -6,6 +6,12 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# A green run leaves the checkout as it found it (checked at the end).
+status_at_start=$(git status --porcelain)
+tmp=$(mktemp -d)
+# On any exit, put back bench_e2e's lock if its step saved it.
+trap '[ ! -f "$tmp/bench_e2e.lock" ] || cp "$tmp/bench_e2e.lock" bench_e2e/Cargo.lock; rm -rf "$tmp"' EXIT
+
 echo "== artifact manifest (EXPERIMENTS.md matrix rows == results/ files)"
 # Read once, first: a manifest that disagrees with results/ fails in seconds.
 units=$(scripts/artifacts.sh)
@@ -42,11 +48,12 @@ cargo test -q --workspace
 echo "== bench_e2e tests (standalone package, outside the workspace)"
 # bench_e2e builds against the workspace crates by path but is not a
 # member, so the workspace test run above would not notice a change to a
-# public API it uses.
+# public API it uses. Building it rewrites bench_e2e/Cargo.lock (the lock
+# still lists `bytes`, which no crate uses), and bench_e2e/ changes only
+# with the benchmark, so the lock is put back afterwards.
+cp bench_e2e/Cargo.lock "$tmp/bench_e2e.lock"
 cargo test -q --offline --manifest-path bench_e2e/Cargo.toml
-
-tmp=$(mktemp -d)
-trap 'rm -rf "$tmp"' EXIT
+cp "$tmp/bench_e2e.lock" bench_e2e/Cargo.lock
 
 echo "== artifacts (every results/*.txt regenerates byte-identical)"
 # The regeneration matrix in EXPERIMENTS.md is the artifact list. A .txt
@@ -108,5 +115,13 @@ for doc in EXPERIMENTS.md README.md ARCHITECTURE.md DESIGN.md PERFORMANCE.md; do
   done
 done
 [ "$missing" -eq 0 ]
+
+echo "== checkout unchanged (git status --porcelain as at the start)"
+status_at_end=$(git status --porcelain)
+if [ "$status_at_end" != "$status_at_start" ]; then
+  echo "the run changed the checkout:" >&2
+  diff <(echo "$status_at_start") <(echo "$status_at_end") >&2 || true
+  exit 1
+fi
 
 echo "ci: all green"
