@@ -11,11 +11,13 @@
 //!     queueing network hammering the resource grant/completion path.
 //!   * `headline` — the drain rate in events/sec.
 //!   * `engine_points` — the same kernel doing real work: a PDW TPC-H Q5
-//!     phase replay on `ClusterExec` and a YCSB workload-A serving run.
-//!     These are the numbers to watch across PRs. Each point also reports
-//!     `scan_per_pop`, the calendar queue's bucket entries scanned per pop
-//!     (`Sim::queue_work`). Unlike the timings it is deterministic, and
-//!     `validate_bench` bounds it on the YCSB point.
+//!     phase replay on `ClusterExec`, a YCSB workload-A serving run on
+//!     Mongo-CS and a workload-D run on Mongo-AS, whose hot chunk leaves
+//!     most pending events at one instant. These are the numbers to watch
+//!     across PRs. Each point also reports `scan_per_pop`, the calendar
+//!     queue's bucket entries scanned per search (`Sim::queue_work`).
+//!     Unlike the timings it is deterministic, and `validate_bench` bounds
+//!     it on both YCSB points.
 //!
 //! `--smoke` shrinks every dimension for CI; `--iters N` sets the
 //! best-of-N repeat count (default 3).
@@ -180,18 +182,24 @@ fn pdw_q5_point(sf: f64, paper: f64, iters: usize) -> ((u64, QueueWork), f64) {
     })
 }
 
-/// YCSB workload-A serving run on a sharded Mongo cluster: the serving
-/// side's open-loop arrival stream is the other engine-grade shape (many
-/// small events, deep timer population).
-fn ycsb_point(measure_secs: f64, iters: usize) -> ((u64, QueueWork), f64) {
+/// YCSB serving run on a sharded Mongo cluster: the serving side's
+/// open-loop arrival stream is the other engine-grade shape (many small
+/// events, deep timer population).
+fn ycsb_point(
+    sharding: Sharding,
+    workload: Workload,
+    ops_per_sec: f64,
+    measure_secs: f64,
+    iters: usize,
+) -> ((u64, QueueWork), f64) {
     let cfg = ServingConfig::default();
     best_of(iters, || {
         let params = cfg.params();
         let mut sim: Sim<()> = Sim::new();
-        let m = MongoCluster::build(&mut sim, &params, Sharding::Hash);
+        let m = MongoCluster::build(&mut sim, &params, sharding);
         m.load(cfg.n_records());
         let rc = RunConfig {
-            target_ops_per_sec: 20_000.0,
+            target_ops_per_sec: ops_per_sec,
             threads: cfg.threads,
             warmup_secs: cfg.warmup_secs.min(measure_secs),
             measure_secs,
@@ -200,7 +208,7 @@ fn ycsb_point(measure_secs: f64, iters: usize) -> ((u64, QueueWork), f64) {
             max_scan_len: 1000,
         };
         let t0 = Instant::now();
-        run_workload(&mut sim, m, Workload::A, &rc);
+        run_workload(&mut sim, m, workload, &rc);
         let secs = t0.elapsed().as_secs_f64();
         ((sim.events_executed(), sim.queue_work()), secs)
     })
@@ -259,7 +267,9 @@ fn main() {
     } else {
         pdw_q5_point(0.02, 1000.0, iters)
     };
-    let ycsb = ycsb_point(if smoke { 2.0 } else { 30.0 }, iters);
+    let ycsb_secs = if smoke { 2.0 } else { 30.0 };
+    let ycsb_a = ycsb_point(Sharding::Hash, Workload::A, 20_000.0, ycsb_secs, iters);
+    let ycsb_d = ycsb_point(Sharding::Range, Workload::D, 80_000.0, ycsb_secs, iters);
 
     // ---- JSON artifact --------------------------------------------------
     println!("{{");
@@ -300,7 +310,8 @@ fn main() {
     println!("  }},");
     println!("  \"engine_points\": [");
     print_engine_point("pdw_q5_phase_replay", pdw, false);
-    print_engine_point("ycsb_workload_a", ycsb, true);
+    print_engine_point("ycsb_workload_a", ycsb_a, false);
+    print_engine_point("mongo_as_workload_d", ycsb_d, true);
     println!("  ]");
     println!("}}");
 }

@@ -8,8 +8,7 @@
 //!    `Sim`/`ClusterExec` and it folds the deterministic event stream into
 //!    per-resource busy-fraction/queue-depth timelines, exact phase spans,
 //!    and a task-concurrency track, exported as Chrome Trace Event JSON
-//!    ([`chrome_trace`], loadable in Perfetto), stable JSONL ([`jsonl()`]),
-//!    or an [`ascii_timeline`].
+//!    ([`chrome_trace`], loadable in Perfetto) or an [`ascii_timeline`].
 //! 2. **Streaming metrics** — [`metrics::MetricRegistry`] keeps
 //!    sliding-window latency histograms keyed by
 //!    `(engine, op, shard, tenant)`, updated incrementally as samples
@@ -33,7 +32,6 @@ pub mod ascii;
 pub mod chrome;
 pub mod critpath;
 pub mod json;
-pub mod jsonl;
 pub mod metrics;
 pub mod serving;
 pub mod slo;
@@ -43,7 +41,6 @@ pub mod validate;
 pub use ascii::ascii_timeline;
 pub use chrome::chrome_trace;
 pub use critpath::{CritPathProbe, CritPathReport, Verdict};
-pub use jsonl::jsonl;
 pub use metrics::{MetricKey, MetricRegistry};
 pub use slo::{SloPolicy, SloStatus};
 pub use timeline::TimelineProbe;

@@ -533,7 +533,7 @@ impl<'a> Ctx<'a> {
             LogicalPlan::Project { input, exprs } => {
                 let mut rel = self.exec(input);
                 for p in &mut rel.parts {
-                    *p = ops::project(p, exprs);
+                    *p = ops::project(&*p, exprs);
                 }
                 rel.dist = rel.dist.after_project(exprs);
                 rel.width = exprs.len();

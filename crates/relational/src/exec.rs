@@ -2,6 +2,8 @@
 //! engine's answers are checked against. Executes a [`LogicalPlan`] by
 //! materializing each operator with the shared kernels in [`crate::ops`].
 
+use std::borrow::Cow;
+
 use crate::catalog::Catalog;
 use crate::ops;
 use crate::plan::LogicalPlan;
@@ -11,15 +13,24 @@ use crate::value::Row;
 /// Execute a plan against a catalog, returning `(schema, rows)`.
 pub fn execute(plan: &LogicalPlan, catalog: &Catalog) -> (Schema, Vec<Row>) {
     let schema = plan.schema(catalog);
-    let rows = run(plan, catalog);
+    let rows = run(plan, catalog).into_owned();
     (schema, rows)
 }
 
-fn run(plan: &LogicalPlan, catalog: &Catalog) -> Vec<Row> {
+/// A scan borrows its table's rows, so operators over it copy only what
+/// they keep: filters clone their surviving rows, a projection over them
+/// reads them in place, and no base table is cloned whole.
+fn run<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Cow<'a, [Row]> {
     match plan {
-        LogicalPlan::Scan { table } => catalog.get(table).rows.clone(),
-        LogicalPlan::Filter { input, pred } => ops::filter(run(input, catalog), pred),
-        LogicalPlan::Project { input, exprs } => ops::project(&run(input, catalog), exprs),
+        LogicalPlan::Scan { table } => Cow::Borrowed(&catalog.get(table).rows),
+        LogicalPlan::Filter { input, pred } => match scanned(plan, catalog) {
+            Some(rows) => rows.into_iter().cloned().collect(),
+            None => Cow::Owned(ops::filter(run(input, catalog).into_owned(), pred)),
+        },
+        LogicalPlan::Project { input, exprs } => Cow::Owned(match scanned(input, catalog) {
+            Some(rows) => ops::project(rows, exprs),
+            None => ops::project(run(input, catalog).iter(), exprs),
+        }),
         LogicalPlan::Join {
             left,
             right,
@@ -31,16 +42,42 @@ fn run(plan: &LogicalPlan, catalog: &Catalog) -> Vec<Row> {
             let l = run(left, catalog);
             let r = run(right, catalog);
             let right_width = right.schema(catalog).len();
-            ops::hash_join(&l, &r, on, *kind, residual.as_ref(), right_width)
+            Cow::Owned(ops::hash_join(
+                &l,
+                &r,
+                on,
+                *kind,
+                residual.as_ref(),
+                right_width,
+            ))
         }
         LogicalPlan::Aggregate {
             input,
             group_by,
             aggs,
-        } => ops::hash_aggregate(&run(input, catalog), group_by, aggs),
-        LogicalPlan::Sort { input, keys } => ops::sort(run(input, catalog), keys),
-        LogicalPlan::Limit { input, n } => ops::limit(run(input, catalog), *n),
+        } => Cow::Owned(ops::hash_aggregate(&run(input, catalog), group_by, aggs)),
+        LogicalPlan::Sort { input, keys } => {
+            Cow::Owned(ops::sort(run(input, catalog).into_owned(), keys))
+        }
+        LogicalPlan::Limit { input, n } => match run(input, catalog) {
+            Cow::Borrowed(rows) => Cow::Borrowed(&rows[..rows.len().min(*n)]),
+            Cow::Owned(rows) => Cow::Owned(ops::limit(rows, *n)),
+        },
         LogicalPlan::Materialize { input, .. } => run(input, catalog),
+    }
+}
+
+/// The rows a chain of filters straight over a base-table scan keeps,
+/// borrowed from the table; `None` for any other plan.
+fn scanned<'a>(plan: &LogicalPlan, catalog: &'a Catalog) -> Option<Vec<&'a Row>> {
+    match plan {
+        LogicalPlan::Scan { table } => Some(catalog.get(table).rows.iter().collect()),
+        LogicalPlan::Filter { input, pred } => {
+            let mut rows = scanned(input, catalog)?;
+            rows.retain(|r| pred.matches(r));
+            Some(rows)
+        }
+        _ => None,
     }
 }
 
@@ -134,6 +171,9 @@ mod tests {
             .limit(1);
         let (_, rows) = execute(&plan, &c);
         assert_eq!(rows, vec![vec![Value::I64(3), Value::I64(20)]]);
+        // Straight over a scan: the table's first rows.
+        let (_, rows) = execute(&LogicalPlan::scan("orders").limit(2), &c);
+        assert_eq!(rows, c.get("orders").rows[..2]);
     }
 
     #[test]
@@ -142,5 +182,8 @@ mod tests {
         let plan = LogicalPlan::scan("orders").filter(col(1).eq(lit_i64(10)));
         let (_, rows) = execute(&plan, &c);
         assert_eq!(rows.len(), 2);
+        // A projection over the filtered scan reads the kept rows in place.
+        let (_, rows) = execute(&plan.project(vec![(col(0), "o_id")]), &c);
+        assert_eq!(rows, vec![vec![Value::I64(1)], vec![Value::I64(2)]]);
     }
 }

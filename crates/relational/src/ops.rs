@@ -20,8 +20,8 @@ pub fn filter(rows: Vec<Row>, pred: &Expr) -> Vec<Row> {
 }
 
 /// SELECT list: evaluate expressions per row.
-pub fn project(rows: &[Row], exprs: &[(Expr, String)]) -> Vec<Row> {
-    rows.iter()
+pub fn project<'a>(rows: impl IntoIterator<Item = &'a Row>, exprs: &[(Expr, String)]) -> Vec<Row> {
+    rows.into_iter()
         .map(|r| exprs.iter().map(|(e, _)| e.eval(r)).collect())
         .collect()
 }

@@ -14,24 +14,39 @@
 //!   and then stays flat (see the arena-recycling property test).
 //!
 //! * **Calendar queue** (`CalendarQueue`): a ring of time buckets of
-//!   power-of-two width. Push indexes straight into a bucket (O(1)); pop
-//!   scans the small current bucket for its minimum `(at, seq)` key.
+//!   power-of-two width. Push indexes straight into a bucket (O(1)); a
+//!   search scans the small current bucket for its minimum time.
 //!   Events beyond the ring's horizon wait in a spill heap and are claimed
-//!   by the same year check every pop performs, so ordering is exact while
-//!   the common case never pays an O(log n) sift. The ring resizes
+//!   by the same year check every search performs, so ordering is exact
+//!   while the common case never pays an O(log n) sift. The ring resizes
 //!   (deterministically, from event count and measured scan work) as the
 //!   pending population changes, and takes its bucket width from the
 //!   dense part of the pending set: a few far timers wait in the spill
 //!   heap instead of widening every bucket.
 //!
+//! * **Same-instant lane.** A search moves *every* entry at the minimum
+//!   time `t` — from its bucket and from the spill heap — into a FIFO
+//!   lane, sorted by `seq`, and remembers `t`. Later pops take the lane's
+//!   front without searching, and a push at exactly `t` appends to it:
+//!   `seq` is monotone, so append order is `(at, seq)` order. The lane
+//!   time stays set after the lane drains, so the zero-delay
+//!   continuations an event schedules at `now` never touch a bucket, and
+//!   k ties at one instant cost one search instead of k²/2 scanned
+//!   entries. No bucket or spill entry is ever at the lane time; a push
+//!   *before* it (possible only after a peek) puts the lane back into the
+//!   ring and clears it. Resizing never sees the lane, so a pile of ties
+//!   does not set the bucket width.
+//!
 //! Ordering contract: strictly increasing `(at, seq)` — earliest time
 //! first, FIFO among equal times via the monotone sequence number. This is
 //! the determinism contract every byte-diffed artifact in `results/` rests
 //! on. The unit tests check it with a property test that replays generated
-//! push/pop/peek sequences against a sorted `BTreeSet` model.
+//! push/pop/peek sequences — zero-delay continuations, ties, peeks
+//! followed by earlier pushes among them — against a sorted `BTreeSet`
+//! model.
 
 use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::{BinaryHeap, VecDeque};
 
 use crate::resource::ResourceId;
 use crate::sim::{Event, SimTime};
@@ -111,13 +126,6 @@ pub(crate) struct Entry {
     pub(crate) slot: u32,
 }
 
-impl Entry {
-    #[inline]
-    fn key(&self) -> (SimTime, u64) {
-        (self.at, self.seq)
-    }
-}
-
 /// Initial ring size; grows (powers of two) as the pending set grows.
 const INITIAL_BUCKETS: usize = 256;
 /// Initial bucket width exponent: 2^17 ns ≈ 131 µs. Resizes re-derive the
@@ -157,15 +165,18 @@ const DENSE_PERCENTILE: usize = 90;
 /// [`crate::Sim::queue_work`]) that nothing in dispatch reads.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueWork {
-    /// Pops that searched the queue (a pop answered by a staged peek was
-    /// counted at the peek).
+    /// Pops that searched the queue (a pop of the entry a peek's search
+    /// found was counted at the peek).
     pub pops: u64,
     /// Bucket entries those pops scanned.
     pub scanned: u64,
     /// Empty buckets those pops stepped over.
     pub advances: u64,
-    /// Pops answered by the overflow heap.
+    /// Searches that took entries from the overflow heap.
     pub spilled: u64,
+    /// Pops the same-instant lane answered without a search: the other
+    /// ties a search gathered, and events pushed at the lane's time.
+    pub laned: u64,
 }
 
 impl QueueWork {
@@ -179,6 +190,7 @@ impl QueueWork {
         self.scanned += w.scanned;
         self.advances += w.advances;
         self.spilled += w.spilled;
+        self.laned += w.laned;
     }
 }
 
@@ -198,10 +210,12 @@ impl QueueWork {
 /// ring mis-tuned. Every trigger depends only on event data, so resizing
 /// is deterministic.
 ///
-/// Invariant: `ring_start <= at` for every stored event — maintained by
-/// pop (which advances the window only past empty-or-future buckets) and
-/// by push (which *rewinds* the window when handed an earlier event, legal
-/// precisely because such an event is a new global minimum).
+/// Invariants: `ring_start <= at` for every stored event — maintained by
+/// the search (which advances the window only past empty-or-future
+/// buckets) and by push (which *rewinds* the window when handed an earlier
+/// event, legal precisely because such an event is a new global minimum).
+/// While `lane_at` is set, every ring and overflow event is later than it,
+/// and the lane holds every pending event at `lane_at`, in `seq` order.
 pub(crate) struct CalendarQueue {
     buckets: Vec<Vec<Entry>>,
     mask: usize,
@@ -213,8 +227,13 @@ pub(crate) struct CalendarQueue {
     /// Events stored in the ring (the overflow heap is counted separately).
     ring_len: usize,
     overflow: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
-    /// A popped-but-unconsumed entry (backs [`CalendarQueue::peek_time`]).
-    staged: Option<Entry>,
+    /// Every pending event at `lane_at`, in `seq` order.
+    lane: VecDeque<Entry>,
+    /// The time of the last search's minimum, until an earlier push.
+    lane_at: Option<SimTime>,
+    /// The lane's front is the entry the last search found, so popping it
+    /// is that search's pop, not a laned one.
+    front_searched: bool,
     /// Pop work since the last recalibration check.
     window: QueueWork,
     /// Pop work of every earlier window.
@@ -233,7 +252,9 @@ impl CalendarQueue {
             ring_start: 0,
             ring_len: 0,
             overflow: BinaryHeap::new(),
-            staged: None,
+            lane: VecDeque::new(),
+            lane_at: None,
+            front_searched: false,
             window: QueueWork::default(),
             past: QueueWork::default(),
             recal_at: RECAL_PERIOD,
@@ -241,7 +262,7 @@ impl CalendarQueue {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.ring_len + self.overflow.len() + usize::from(self.staged.is_some())
+        self.ring_len + self.overflow.len() + self.lane.len()
     }
 
     /// Pop work since the queue was created.
@@ -278,10 +299,14 @@ impl CalendarQueue {
     // there instead of costing a cross-crate call per event.
     #[inline]
     pub(crate) fn push(&mut self, e: Entry) {
-        // A staged peek is conceptually "next out"; re-queue it so the new
-        // event competes on the ordinary (at, seq) key.
-        if let Some(s) = self.staged.take() {
-            self.raw_push(s);
+        if let Some(t) = self.lane_at {
+            if e.at == t {
+                self.lane.push_back(e);
+                return;
+            }
+            if e.at < t {
+                self.flush_lane();
+            }
         }
         self.raw_push(e);
         self.maybe_grow();
@@ -304,40 +329,96 @@ impl CalendarQueue {
         }
     }
 
+    /// An earlier push after a peek: the lane's events are no longer the
+    /// minimum, so they go back into the ring and the lane time clears.
+    fn flush_lane(&mut self) {
+        self.lane_at = None;
+        self.front_searched = false;
+        while let Some(e) = self.lane.pop_front() {
+            self.raw_push(e);
+        }
+    }
+
     #[inline]
     pub(crate) fn pop(&mut self) -> Option<Entry> {
-        if let Some(s) = self.staged.take() {
-            return Some(s);
+        match self.lane.pop_front() {
+            Some(e) => {
+                if !std::mem::take(&mut self.front_searched) {
+                    self.window.laned += 1;
+                }
+                Some(e)
+            }
+            None => self.search(),
         }
-        self.pop_scan()
     }
 
     #[inline]
     pub(crate) fn peek_time(&mut self) -> Option<SimTime> {
-        if self.staged.is_none() {
-            self.staged = self.pop_scan();
+        if self.lane.is_empty() {
+            let e = self.search()?;
+            self.lane.push_front(e);
+            self.front_searched = true;
         }
-        self.staged.map(|e| e.at)
+        self.lane.front().map(|e| e.at)
     }
 
-    /// Pop the overflow heap's head (the caller has checked it is due).
-    fn pop_overflow(&mut self) -> Option<Entry> {
-        let Reverse((at, seq, slot)) = self.overflow.pop()?;
-        self.window.spilled += 1;
-        Some(Entry { at, seq, slot })
-    }
-
-    fn pop_scan(&mut self) -> Option<Entry> {
+    /// Search for the earliest pending time `t`, make it the lane time and
+    /// return the first event at `t`; the (empty) lane takes the others.
+    fn search(&mut self) -> Option<Entry> {
+        if self.ring_len + self.overflow.len() == 0 {
+            return None;
+        }
         self.window.pops += 1;
         if self.window.pops >= self.recal_at {
             self.maybe_recalibrate();
         }
+        let (t, only) = self.seek_min();
+        self.lane_at = Some(t);
+        if let Some(i) = only {
+            self.ring_len -= 1;
+            return Some(self.buckets[self.cur].swap_remove(i));
+        }
+        self.gather(t)
+    }
+
+    /// Move every event at `t` from the current bucket and the overflow
+    /// heap into the lane, in `seq` order, and pop the first. Out of line:
+    /// a search that finds one event at `t` never gets here.
+    #[inline(never)]
+    fn gather(&mut self, t: SimTime) -> Option<Entry> {
+        let bucket = &mut self.buckets[self.cur];
+        // Back to front: `swap_remove` fills each hole with an entry
+        // already passed over, which is not at `t`.
+        for i in (0..bucket.len()).rev() {
+            if bucket[i].at == t {
+                self.lane.push_back(bucket.swap_remove(i));
+                self.ring_len -= 1;
+            }
+        }
+        let mut spilled = false;
+        while let Some(&Reverse((at, seq, slot))) = self.overflow.peek() {
+            if at != t {
+                break;
+            }
+            self.overflow.pop();
+            self.lane.push_back(Entry { at, seq, slot });
+            spilled = true;
+        }
+        self.window.spilled += u64::from(spilled);
+        self.lane.make_contiguous().sort_unstable_by_key(|e| e.seq);
+        self.lane.pop_front()
+    }
+
+    /// Move the window to the year of the earliest pending time `t` and
+    /// return `t` (the queue is not empty), with the index of the current
+    /// bucket's entry at `t` if it is the only pending event at `t`.
+    fn seek_min(&mut self) -> (SimTime, Option<usize>) {
         if self.ring_len == 0 {
             // Ring empty: the overflow heap holds the global minimum.
-            let e = self.pop_overflow()?;
-            self.cur = self.bucket_of(e.at);
-            self.ring_start = self.year_start(e.at);
-            return Some(e);
+            let Reverse((t, ..)) = *self.overflow.peek().expect("a pending event");
+            self.cur = self.bucket_of(t);
+            self.ring_start = self.year_start(t);
+            return (t, None);
         }
         let mut steps = 0usize;
         loop {
@@ -346,61 +427,57 @@ impl CalendarQueue {
             // the last year (an exclusive, saturating end would skip it
             // forever).
             let year_last = self.ring_start + (self.width() - 1);
-            // Best in-year candidate from a scan of the current bucket
+            // Earliest in-year time from a scan of the current bucket
             // (buckets are short by construction — the scan IS the width
-            // tuning signal)...
+            // tuning signal), and whether another entry shares it...
             let bucket = &self.buckets[self.cur];
             self.window.scanned += bucket.len() as u64;
-            let mut best: Option<(usize, (SimTime, u64))> = None;
+            let (mut best, mut tie) = (None, false);
             for (i, e) in bucket.iter().enumerate() {
-                let better = match best {
-                    None => e.at <= year_last,
-                    Some((_, k)) => e.at <= year_last && e.key() < k,
-                };
-                if better {
-                    best = Some((i, e.key()));
+                match best {
+                    Some((_, t)) if e.at > t => {}
+                    Some((_, t)) if e.at == t => tie = true,
+                    None if e.at > year_last => {}
+                    _ => (best, tie) = (Some((i, e.at)), false),
                 }
             }
             // ...competing with the overflow head if it entered the year.
             let over = self
                 .overflow
                 .peek()
-                .map(|Reverse(k)| *k)
-                .filter(|&(at, ..)| at <= year_last);
+                .map(|&Reverse((at, ..))| at)
+                .filter(|&at| at <= year_last);
             match (best, over) {
-                (Some((_, bk)), Some((at, seq, _))) if (at, seq) < bk => {
-                    return self.pop_overflow();
-                }
-                (Some((i, _)), _) => {
-                    let e = self.buckets[self.cur].swap_remove(i);
-                    self.ring_len -= 1;
-                    return Some(e);
-                }
-                (None, Some(_)) => return self.pop_overflow(),
-                (None, None) => {
-                    steps += 1;
-                    if steps > self.buckets.len() {
-                        // Full rotation without an in-year event: everything
-                        // left in the ring aliases a later year. Jump the
-                        // window straight to the global minimum.
-                        let min_at = self
-                            .buckets
-                            .iter()
-                            .flatten()
-                            .map(|e| e.at)
-                            .min()
-                            .expect("ring_len > 0 guarantees a ring event");
-                        self.cur = self.bucket_of(min_at);
-                        self.ring_start = self.year_start(min_at);
-                        steps = 0;
-                        continue;
-                    }
-                    self.window.advances += 1;
-                    self.cur = (self.cur + 1) & self.mask;
-                    self.ring_start = year_last + 1;
-                }
+                (Some((i, t)), o) if o.is_none_or(|o| t < o) => return (t, (!tie).then_some(i)),
+                (_, Some(o)) => return (o, None),
+                _ => {}
             }
+            steps += 1;
+            if steps > self.buckets.len() {
+                self.jump_to_min();
+                steps = 0;
+                continue;
+            }
+            self.window.advances += 1;
+            self.cur = (self.cur + 1) & self.mask;
+            self.ring_start = year_last + 1;
         }
+    }
+
+    /// A full rotation without an in-year event: everything left in the
+    /// ring aliases a later year. Jump the window straight to the ring's
+    /// earliest event.
+    #[cold]
+    fn jump_to_min(&mut self) {
+        let min_at = self
+            .buckets
+            .iter()
+            .flatten()
+            .map(|e| e.at)
+            .min()
+            .expect("ring_len > 0 guarantees a ring event");
+        self.cur = self.bucket_of(min_at);
+        self.ring_start = self.year_start(min_at);
     }
 
     /// Grow resize: when the pending set outgrows one-event-per-bucket,
@@ -424,6 +501,7 @@ impl CalendarQueue {
     /// or were mostly answered by the overflow heap (window too short for
     /// where events are pushed), re-derive the width from the dense part
     /// of the pending set at the current ring size.
+    #[cold]
     fn maybe_recalibrate(&mut self) {
         let w = std::mem::take(&mut self.window);
         self.past.add(w);
@@ -464,7 +542,7 @@ impl CalendarQueue {
 
     /// Re-bucket every stored event into `nb` buckets (power of two) with
     /// a width from the dense part of the pending set (see
-    /// [`dense_geometry`]). No-op on ordering; `staged` is untouched.
+    /// [`dense_geometry`]). No-op on ordering; the lane is untouched.
     fn rebuild(&mut self, nb: usize) {
         let total = self.ring_len + self.overflow.len();
         let mut entries: Vec<Entry> = Vec::with_capacity(total);
@@ -584,6 +662,22 @@ mod tests {
         PeekThenEarlier {
             frac: u64,
         },
+        /// Pop, then push `count` events at the clock: the zero-delay
+        /// continuations an event schedules at `now`.
+        Now {
+            count: u64,
+        },
+        /// `count` events `2^exp` ns ahead, then a peek, which fills the
+        /// lane with the ties at the minimum time. An event between the
+        /// clock and the peeked time flushes the lane; then `count` more
+        /// events at the peeked time tie with the flushed ones, in the
+        /// ring or, once the window has rewound a span or more, in the
+        /// overflow heap.
+        TieFlush {
+            exp: u32,
+            count: u64,
+            frac: u64,
+        },
         Peek,
         Pop,
     }
@@ -612,6 +706,12 @@ mod tests {
                 }
             }),
             any::<u64>().prop_map(|frac| Op::PeekThenEarlier { frac }),
+            (1u64..9).prop_map(|count| Op::Now { count }),
+            (0u32..40, 2u64..9, any::<u64>()).prop_map(|(exp, count, frac)| Op::TieFlush {
+                exp,
+                count,
+                frac
+            }),
             Just(Op::Peek),
             // Pops weighted three to one so queues drain as well as fill.
             Just(Op::Pop),
@@ -631,6 +731,10 @@ mod tests {
         rewind: bool,
         earlier_after_peek: bool,
         far_tail: bool,
+        /// A pop the lane answered without a search.
+        lane: bool,
+        /// An earlier push put a lane of two or more ties back.
+        flush: bool,
     }
 
     /// A `CalendarQueue` driven in lockstep with the sorted reference
@@ -647,7 +751,9 @@ mod tests {
     impl Oracle {
         fn push(&mut self, at: SimTime) -> Result<(), String> {
             let (nb, shift, start) = (self.q.buckets.len(), self.q.shift, self.q.ring_start);
+            let laned = self.q.lane.len();
             self.q.push(entry(at, self.seq));
+            self.reached.flush |= laned > 1 && self.q.lane.is_empty();
             self.model.insert((at, self.seq));
             self.seq += 1;
             self.reached.grow |= self.q.buckets.len() > nb;
@@ -659,13 +765,14 @@ mod tests {
         }
 
         fn pop(&mut self) -> Result<(), String> {
-            let (nb, shift) = (self.q.buckets.len(), self.q.shift);
+            let (nb, shift, laned) = (self.q.buckets.len(), self.q.shift, self.q.work().laned);
             let got = self.q.pop();
             let want = self.model.pop_first().map(|(at, seq)| entry(at, seq));
             if got != want {
                 return Err(format!("pop returned {got:?}, model holds {want:?} next"));
             }
             self.reached.recalibrate |= self.q.buckets.len() == nb && self.q.shift != shift;
+            self.reached.lane |= self.q.work().laned > laned;
             self.note_rebuild(nb, shift);
             if let Some(e) = got {
                 self.reached.tie |= self.model.first().is_some_and(|&(at, _)| at == e.at);
@@ -770,6 +877,28 @@ mod tests {
                         self.push(now + frac % (t - now).saturating_add(1))?;
                     }
                 }
+                Op::Now { count } => {
+                    if self.model.is_empty() {
+                        self.push(now)?;
+                    }
+                    self.pop()?;
+                    for _ in 0..count {
+                        self.push(self.clock)?;
+                    }
+                }
+                Op::TieFlush { exp, count, frac } => {
+                    for _ in 0..count {
+                        self.push(now.saturating_add(1 << exp))?;
+                    }
+                    if let Some(t) = self.peek()? {
+                        if t > now {
+                            self.push(now + frac % (t - now))?;
+                        }
+                        for _ in 0..count {
+                            self.push(t)?;
+                        }
+                    }
+                }
                 Op::Peek => {
                     self.peek()?;
                 }
@@ -813,10 +942,11 @@ mod tests {
     proptest! {
         /// The queue pops in exactly the order of a sorted `(at, seq)`
         /// set, and its length tracks the set, over generated mixes of
-        /// same-instant ties, far-future overflow, same-bucket aliasing,
-        /// growth bursts, recalibrating holds, dense loops next to a far
-        /// tail and earlier-than-peeked pushes. `Sim` fires events in pop order, so this is the
-        /// kernel's whole ordering contract.
+        /// same-instant ties, zero-delay continuations, far-future
+        /// overflow, same-bucket aliasing, growth bursts, recalibrating
+        /// holds, dense loops next to a far tail, earlier-than-peeked
+        /// pushes and lanes of ties they flush. `Sim` fires events in pop
+        /// order, so this is the kernel's whole ordering contract.
         #[test]
         fn pops_match_a_sorted_reference_model(
             ops in proptest::collection::vec(op(), 1..40),
@@ -855,10 +985,14 @@ mod tests {
     fn op_vocabulary_reaches_every_regime() {
         // Peek a far event so the window jumps ahead, fill that window,
         // then push before the peeked event so the window rewinds under
-        // it. Then burst into one bucket and hold it dense until the scan
-        // counter recalibrates, and grow past the initial ring. Holding a
-        // dense loop while far events wait sets the width from the dense
-        // part and leaves the far tail in the overflow heap.
+        // it. Ties a peek gathered go back to the ring under an earlier
+        // push, and zero-delay pushes join the lane a pop left. Then burst
+        // into one bucket and hold it dense until the scan counter
+        // recalibrates (pops the lane answers are not searches, so the
+        // hold runs long enough for 4096 searches), and grow past the
+        // initial ring. Holding a dense loop while far events wait sets
+        // the width from the dense part and leaves the far tail in the
+        // overflow heap.
         let ops = [
             Op::Far { exp: 30, jitter: 0 },
             Op::Peek,
@@ -869,13 +1003,19 @@ mod tests {
             Op::PeekThenEarlier { frac: 12_345 },
             Op::Pop,
             Op::Tie { delay: 5, count: 4 },
+            Op::TieFlush {
+                exp: 12,
+                count: 3,
+                frac: 99,
+            },
+            Op::Now { count: 3 },
             Op::Burst {
                 n: 400,
                 spread: 10,
                 salt: 1,
             },
             Op::Hold {
-                n: 5_000,
+                n: 8_000,
                 spread: 10,
                 salt: 2,
             },
@@ -910,6 +1050,8 @@ mod tests {
                 rewind: true,
                 earlier_after_peek: true,
                 far_tail: true,
+                lane: true,
+                flush: true,
             }
         );
     }
@@ -1049,14 +1191,14 @@ mod tests {
                 let want = *pending.iter().next().expect("non-empty");
                 pending.remove(&want);
                 let got = q.pop().expect("queue tracks the model");
-                assert_eq!(got.key(), want);
+                assert_eq!((got.at, got.seq), want);
                 now = got.at;
             }
         }
         while let Some(got) = q.pop() {
             let want = *pending.iter().next().expect("model has it");
             pending.remove(&want);
-            assert_eq!(got.key(), want);
+            assert_eq!((got.at, got.seq), want);
         }
         assert!(pending.is_empty());
     }
@@ -1066,12 +1208,28 @@ mod tests {
         let mut q = CalendarQueue::new();
         q.push(entry(1_000_000_000, 0));
         assert_eq!(q.peek_time(), Some(1_000_000_000));
-        // Window has jumped to the staged event's year; an earlier push
+        // Window has jumped to the peeked event's year; an earlier push
         // must rewind and still come out first.
         q.push(entry(500, 1));
         assert_eq!(q.pop(), Some(entry(500, 1)));
         assert_eq!(q.pop(), Some(entry(1_000_000_000, 0)));
         assert_eq!(q.pop(), None);
+    }
+
+    #[test]
+    fn the_lane_answers_ties_and_zero_delay_pushes_without_a_search() {
+        let mut q = CalendarQueue::new();
+        for seq in 0..3 {
+            q.push(entry(7, seq));
+        }
+        q.push(entry(9, 3));
+        assert_eq!(q.pop(), Some(entry(7, 0)));
+        // Continuations at the popped time join the lane behind the ties.
+        q.push(entry(7, 4));
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
+        assert_eq!(rest, [entry(7, 1), entry(7, 2), entry(7, 4), entry(9, 3)]);
+        let w = q.work();
+        assert_eq!((w.pops, w.laned), (2, 3), "one search per instant");
     }
 
     #[test]

@@ -178,10 +178,15 @@ impl<W: 'static> Sim<W> {
         self.queue.len()
     }
 
-    /// Cumulative work of the event queue's pops: entries scanned, empty
-    /// buckets stepped over and overflow-heap answers. Diagnostics only —
-    /// dispatch never reads it — for benches that track the queue's cost
-    /// per event (`scan_per_pop` in `bench_kernel`).
+    /// Cumulative work of the event queue's pops: searches, the entries
+    /// they scanned, empty buckets stepped over and overflow-heap answers,
+    /// plus the pops the same-instant lane answered without a search
+    /// (`laned`: ties a search gathered and zero-delay events). `pops`
+    /// counts searches only, so `scan_per_pop` is entries scanned per
+    /// search and `pops + laned` is the number of events popped (plus one
+    /// for each gathered lane an earlier push put back after a peek).
+    /// Diagnostics only — dispatch never reads it — for benches that track
+    /// the queue's cost per event (`scan_per_pop` in `bench_kernel`).
     pub fn queue_work(&self) -> QueueWork {
         self.queue.work()
     }

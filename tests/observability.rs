@@ -2,13 +2,13 @@
 //!
 //! Passive: attaching a probe changes no timing cell and no result byte,
 //! for every engine. Deterministic: running the same workload twice with
-//! probes attached produces byte-identical Chrome-trace and JSONL exports.
+//! probes attached produces byte-identical Chrome-trace exports.
 //! Aligned: exported span slices sit exactly on the engines' reported
 //! phase boundaries.
 
 use elephants::cluster::Params;
 use elephants::hive::{load_warehouse, HiveEngine};
-use elephants::obs::{chrome_trace, jsonl, TimelineProbe};
+use elephants::obs::{chrome_trace, TimelineProbe};
 use elephants::pdw::{load_pdw, PdwEngine};
 use elephants::simkit::probe::Probe;
 use elephants::simkit::{as_secs, secs};
@@ -74,16 +74,9 @@ fn exports_are_byte_identical_across_runs() {
             .expect("hive");
         let pp = probe();
         pdw.run_query_probed(&plan, Some(pp.clone() as Rc<RefCell<dyn Probe>>));
-        let (hp, pp) = (unwrap(hp), unwrap(pp));
-        (
-            chrome_trace(&[("hive", &hp), ("pdw", &pp)]),
-            jsonl("hive", &hp) + &jsonl("pdw", &pp),
-        )
+        chrome_trace(&[("hive", &unwrap(hp)), ("pdw", &unwrap(pp))])
     };
-    let (trace_a, jsonl_a) = run();
-    let (trace_b, jsonl_b) = run();
-    assert_eq!(trace_a, trace_b, "Chrome trace must be deterministic");
-    assert_eq!(jsonl_a, jsonl_b, "JSONL export must be deterministic");
+    assert_eq!(run(), run(), "Chrome trace must be deterministic");
 }
 
 #[test]
